@@ -50,6 +50,16 @@ cargo run --release -q --offline -p grp-bench --bin check -- \
     --metrics "$TRACE_TMP/all_registry.prom" \
     --metrics-require grp_fleet_cells_total,grp_fleet_runs_total
 
+echo "== golden contract: small-scale results match results_small.json byte for byte =="
+# The committed results are a contract, not a snapshot: a fresh
+# small-scale run must reproduce them exactly.
+cargo run --release -q --offline -p grp-bench --bin all -- --scale small \
+    --json "$TRACE_TMP/results_small.json" > /dev/null
+cmp "$TRACE_TMP/results_small.json" results_small.json || {
+    echo "ERROR: all --scale small --json differs from results_small.json" >&2
+    exit 1
+}
+
 echo "== perf smoke: harness at test scale (offline) =="
 cargo run --release -q --offline -p grp-bench --bin perf -- \
     --scale test --label verify-smoke --out "$PERF_TMP"
