@@ -1,6 +1,6 @@
 //! Reproduces the complete evaluation: every table and figure, sharing
 //! one memoized suite. `--scale test|small|paper` selects problem size;
-//! `--jobs N` (or the `GRP_JOBS` env var) caps the parallel precompute
+//! `--jobs N` (or the `GRP_JOBS` env var) caps the cell scheduler's
 //! workers; `--json <path>` additionally writes machine-readable
 //! per-run results.
 //!
@@ -15,8 +15,8 @@
 //! pre-interpreted traces so a re-run (or another binary) skips
 //! build + interpretation. Results are bit-identical either way.
 //!
-//! Harness telemetry: the precompute fleet records into the
-//! process-global registry (`grp_suite_precompute_*`, `grp_fleet_*`,
+//! Harness telemetry: the cell scheduler records into the
+//! process-global registry (`grp_fleet_*`, `grp_replay_*`, `grp_sim_*`,
 //! trace-cache counters), and `--registry-out <path>` writes that
 //! registry at exit as Prometheus text plus a `<path>.json` twin —
 //! the same export shape `serve --metrics-out` produces.
@@ -123,8 +123,8 @@ fn main() {
         }
     }
 
-    // Final registry scrape: everything the run recorded (suite
-    // precompute, fleet scheduling, trace cache, I/O faults) in one
+    // Final registry scrape: everything the run recorded (fleet
+    // scheduling, trace cache, I/O faults) in one
     // deterministic text exposition + JSON twin.
     if let Some(path) = flag_value(&args, "--registry-out") {
         exposition::write_registry(telemetry::registry(), &path).unwrap_or_else(|e| {

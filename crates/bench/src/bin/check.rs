@@ -199,7 +199,7 @@ fn check_faulted_case(
             }
             let obs = InvariantObserver::new(cfg).with_interval(256);
             let (result, obs) = replay_injected(
-                &case.trace,
+                case.trace.stream(),
                 &case.mem,
                 case.heap,
                 scheme,
@@ -423,18 +423,24 @@ fn main() {
         let cache = grp_bench::sched::WorkloadCache::new();
         for name in &names {
             let mut bad = 0u64;
+            // One interpretation per kernel, shared by both tiers of
+            // every scheme.
+            let base = std::sync::Arc::new(
+                grp_bench::sched::KernelBase::load(&cache, name, scale.workload_scale())
+                    .expect("registered"),
+            );
             for scheme in Scheme::ALL {
-                let built = cache
-                    .get_or_build(name, scale.workload_scale())
-                    .expect("registered");
-                let want = built.run(scheme, &cfg);
+                let want = base
+                    .built
+                    .replay(&base.interpreted, scheme, &cfg, grp_core::NullObserver)
+                    .0;
                 let got = grp_bench::sched::run_cell(
                     name,
                     scale.workload_scale(),
                     scheme,
                     &cfg,
                     &replay,
-                    || cache.get_or_build(name, scale.workload_scale()),
+                    || Ok(base.clone()),
                 );
                 match got {
                     Ok((got, _, _, _)) if got == want => {}

@@ -15,7 +15,7 @@
 //!     [--trace-cache <dir>] persist/reuse packed pre-interpreted
 //!                           traces across processes (setup, not replay)
 //!     [--profile]           enable the phase profiler: print a
-//!                           build/interpret/pack/replay/export wall
+//!                           build/interpret/hints/pack/replay/export wall
 //!                           breakdown, embed it in the entry under
 //!                           "profile", and (serial mode) fail unless
 //!                           the phases cover >= 95% of the wall clock
@@ -30,20 +30,23 @@
 //!     validate an existing trajectory file (both entry shapes) and exit
 //! ```
 //!
-//! Per (kernel × scheme) the harness builds the workload, derives the
-//! scheme's hinted trace (setup, untimed in the headline metric), then
-//! times `run_trace` alone — the trace-replay inner loop that bounds
-//! every sweep — reporting trace events/sec and simulated cycles/sec.
+//! Per kernel the harness builds the workload and interprets it once;
+//! per (kernel × scheme) it derives the scheme's hints (setup, untimed
+//! in the headline metric), then times the replay alone — the
+//! trace-replay inner loop that bounds every sweep, fed the scheme's
+//! lowered trace as a stream — reporting trace events/sec and
+//! simulated cycles/sec.
 //! Fleet mode reports the same per-cell columns plus aggregate fleet
 //! throughput (total events per *wall* second across all workers),
 //! per-worker utilization, and queue-wait percentiles.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use grp_bench::args::{jobs_from_args, parse_replay_args, parse_schemes_args};
 use grp_bench::json::Json;
 use grp_bench::obs_export::flag_value;
-use grp_bench::sched::{self, ReplayMode, WorkloadCache};
+use grp_bench::sched::{self, KernelBase, ReplayMode, WorkloadCache};
 use grp_bench::suite::scale_from_args;
 use grp_bench::telemetry::{self, log};
 use grp_bench::traj;
@@ -227,11 +230,12 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
     coverage
 }
 
-/// The original single-thread harness: build → trace → timed replay,
-/// one cell at a time, on the calling thread. Under `--packed` /
-/// `--trace-cache` the per-cell body goes through
-/// [`sched::run_cell`]: packing (or a cache hit) counts as setup, the
-/// replay column times the replay loop alone in both tiers.
+/// The original single-thread harness: build → interpret → timed
+/// replay, one cell at a time, on the calling thread, through
+/// [`sched::run_cell`]. Each kernel interprets once and its schemes
+/// share that base; hint derivation, packing (or a cache hit) count as
+/// setup, and the replay column times the replay loop alone in both
+/// tiers.
 fn run_serial(
     scale: grp_bench::SuiteScale,
     label: &str,
@@ -244,10 +248,22 @@ fn run_serial(
     let mut setup_seconds = 0.0f64;
     let cache = WorkloadCache::new();
     for w in all() {
+        // One base per kernel, interpreted at its first cache-missing
+        // cell and shared by the rest of its schemes.
+        let mut base: Option<Arc<KernelBase>> = None;
         for &scheme in schemes {
             let (result, events, setup, replay) =
                 sched::run_cell(w.name, scale.workload_scale(), scheme, &cfg, mode, || {
-                    cache.get_or_build(w.name, scale.workload_scale())
+                    let b = match &base {
+                        Some(b) => b.clone(),
+                        None => Arc::new(KernelBase::load(
+                            &cache,
+                            w.name,
+                            scale.workload_scale(),
+                        )?),
+                    };
+                    base = Some(b.clone());
+                    Ok(b)
                 })
                 .unwrap_or_else(|e| {
                     log::error("perf", &e.to_string());

@@ -511,6 +511,7 @@ impl Server {
                 t.replay_seconds += s.replay_seconds;
                 t.setup_seconds += s.setup_seconds;
                 t.steals += s.steals;
+                t.interpretations += s.interpretations;
                 t.queue_wait_micros.absorb(&s.queue_wait_micros);
                 // Worker count is fixed for the session (--jobs), but a
                 // tiny batch can spawn fewer workers than configured —

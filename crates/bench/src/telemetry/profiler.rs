@@ -12,8 +12,8 @@
 //! spans sit around whole phases, never inside per-event loops.
 //!
 //! Reports ([`Profiler::report`]) are deterministically ordered: the
-//! canonical harness phase order (`build`, `interpret`, `pack`,
-//! `cache_load`, `cache_store`, `replay`, `export`) first, then
+//! canonical harness phase order (`build`, `interpret`, `hints`,
+//! `pack`, `cache_load`, `cache_store`, `replay`, `export`) first, then
 //! alphabetical, with kernel/scheme ties broken lexicographically —
 //! the same profile always prints and serializes identically.
 
@@ -26,8 +26,8 @@ use std::time::Instant;
 use crate::json::Json;
 
 /// The canonical harness phases, in report order.
-pub const PHASES: [&str; 7] =
-    ["build", "interpret", "pack", "cache_load", "cache_store", "replay", "export"];
+pub const PHASES: [&str; 8] =
+    ["build", "interpret", "hints", "pack", "cache_load", "cache_store", "replay", "export"];
 
 fn phase_rank(path: &str) -> usize {
     let root = path.split('/').next().unwrap_or(path);

@@ -509,6 +509,7 @@ mod tests {
             busy_seconds: vec![0.9, 0.8],
             cells_per_worker: vec![1, 1],
             steals: 1,
+            interpretations: 1,
             queue_wait_micros: q,
         }
     }

@@ -1,10 +1,12 @@
 //! Fleet-scheduler determinism regression tests: sharding the full
 //! kernel × scheme grid across work-stealing workers must produce
 //! per-cell results **bit-identical** to the serial path — for any
-//! worker count, any steal order, and with built workloads shared
-//! read-only across the schemes of a kernel.
+//! worker count, any steal order, and with built workloads and
+//! interpreted base traces shared read-only across the schemes of a
+//! kernel.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Weak;
 
 use grp_bench::sched::{self, WorkloadCache};
 use grp_bench::{Suite, SuiteScale};
@@ -28,7 +30,8 @@ fn serial_grid(cfg: &SimConfig) -> HashMap<(&'static str, Scheme), RunResult> {
 /// fleet scheduler at worker counts 1, 3, and available parallelism —
 /// every cell's `RunResult` must equal the serial reference to the bit,
 /// every cell must complete exactly once, and the schemes of a kernel
-/// must share one build.
+/// must share one build and one interpretation, whose base trace is
+/// gone by the time `run_cells` returns.
 #[test]
 fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
     let cfg = SimConfig::paper();
@@ -41,7 +44,9 @@ fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
     for workers in [1, 3, parallelism] {
         let cache = WorkloadCache::new();
         let mut seen: HashMap<(&'static str, Scheme), RunResult> = HashMap::new();
+        let mut bases: Vec<Weak<sched::KernelBase>> = Vec::new();
         let stats = sched::run_cells(&jobs, workers, &cache, |cell| {
+            bases.push(cell.base.clone());
             let r = cell
                 .outcome
                 .unwrap_or_else(|e| panic!("{}/{} failed: {e}", cell.kernel, cell.scheme));
@@ -55,6 +60,21 @@ fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
         });
         assert_eq!(stats.cells, jobs.len(), "cell count with {workers} worker(s)");
         assert_eq!(stats.errors, 0);
+        assert_eq!(
+            stats.interpretations,
+            names.len() as u64,
+            "one interpretation per kernel with {workers} worker(s)"
+        );
+        // Every cell replayed from a base; holding the weak handles
+        // keeps the allocations' addresses unique, so distinct pointers
+        // count distinct bases.
+        assert!(bases.iter().all(|b| !Weak::ptr_eq(b, &Weak::new())));
+        let distinct: HashSet<_> = bases.iter().map(|b| b.as_ptr()).collect();
+        assert_eq!(distinct.len(), names.len(), "one base per kernel");
+        assert!(
+            bases.iter().all(|b| b.strong_count() == 0),
+            "a base trace outlived run_cells with {workers} worker(s)"
+        );
         assert_eq!(
             cache.built_count(),
             names.len(),
@@ -123,7 +143,19 @@ fn streaming_delivers_every_cell_exactly_once() {
     let mut delivered: Vec<u64> = Vec::new();
     let stats = sched::run_cells(&jobs, 3, &cache, |cell| {
         assert!(cell.outcome.is_ok());
-        assert!(cell.events > 0, "events populated for {}", cell.kernel);
+        // A cell's events are its own scheme's lowered trace events,
+        // not the shared base's.
+        let (trace, _) = grp_workloads::by_name(cell.kernel)
+            .expect("known kernel")
+            .build(Scale::Test)
+            .trace(cell.scheme.compiler_config().as_ref());
+        assert_eq!(
+            cell.events,
+            trace.events().len() as u64,
+            "{}/{} events",
+            cell.kernel,
+            cell.scheme
+        );
         assert!(cell.replay_seconds >= 0.0);
         assert!(cell.worker < 3, "worker id in range");
         delivered.push(cell.id);

@@ -1,7 +1,7 @@
 //! The trace-replay simulator: core window + memory system.
 
 use grp_cpu::packed::{PseudoKind, FLAG_STORE, NO_DEP};
-use grp_cpu::{PackedTrace, RefId, Trace, TraceEvent, Window};
+use grp_cpu::{EventStream, PackedTrace, RefId, Trace, TraceEvent, Window};
 use grp_mem::{Addr, HeapRange, Memory, TrafficStats};
 
 use crate::config::{Scheme, SimConfig};
@@ -205,7 +205,7 @@ pub fn run_trace_faulted(
     plan: &FaultPlan,
 ) -> RunResult {
     let engine = engine_for(scheme, cfg);
-    replay(trace, mem, heap, scheme, cfg, engine, NullObserver, Some(plan)).0
+    replay(trace.stream(), mem, heap, scheme, cfg, engine, NullObserver, Some(plan)).0
 }
 
 /// Like [`run_trace_observed`], replaying under a [`FaultPlan`]. Every
@@ -220,7 +220,7 @@ pub fn run_trace_observed_faulted<O: Observer>(
     plan: &FaultPlan,
 ) -> (RunResult, O) {
     let engine = engine_for(scheme, cfg);
-    replay(trace, mem, heap, scheme, cfg, engine, obs, Some(plan))
+    replay(trace.stream(), mem, heap, scheme, cfg, engine, obs, Some(plan))
 }
 
 /// The fully general replay: caller-supplied engine *and* observer.
@@ -234,14 +234,19 @@ pub fn run_trace_with_engine_observed<O: Observer>(
     engine: Box<dyn Prefetcher>,
     obs: O,
 ) -> (RunResult, O) {
-    replay(trace, mem, heap, scheme, cfg, engine, obs, None)
+    replay(trace.stream(), mem, heap, scheme, cfg, engine, obs, None)
 }
 
 /// Like [`run_trace_with_engine_observed`], optionally armed with a
 /// [`FaultPlan`] — the superset entry point every wrapper above feeds.
+///
+/// `events` is any [`EventStream`]: a recorded trace
+/// ([`Trace::stream`]) or a base trace lowered through a scheme's hint
+/// overlay ([`grp_cpu::BaseTrace::lower`]), which replays without ever
+/// being materialized.
 #[allow(clippy::too_many_arguments)]
-pub fn replay<O: Observer>(
-    trace: &Trace,
+pub fn replay<O: Observer, S: EventStream>(
+    events: S,
     mem: &Memory,
     heap: HeapRange,
     scheme: Scheme,
@@ -250,15 +255,15 @@ pub fn replay<O: Observer>(
     obs: O,
     plan: Option<&FaultPlan>,
 ) -> (RunResult, O) {
-    replay_injected(trace, mem, heap, scheme, cfg, engine, obs, plan, false)
+    replay_injected(events, mem, heap, scheme, cfg, engine, obs, plan, false)
 }
 
 /// [`replay`] with the dropped-fill MSHR-leak bug optionally armed —
 /// the seam behind the `check` gate's `--inject drop-leak` teeth test.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn replay_injected<O: Observer>(
-    trace: &Trace,
+pub fn replay_injected<O: Observer, S: EventStream>(
+    mut events: S,
     mem: &Memory,
     heap: HeapRange,
     scheme: Scheme,
@@ -276,13 +281,13 @@ pub fn replay_injected<O: Observer>(
     if drop_leak {
         ms.inject_fault_drop_leak();
     }
-    let mut events = 0u64;
-    let mut load_completions: Vec<u64> = Vec::with_capacity(trace.loads() as usize);
+    let mut replayed = 0u64;
+    let mut load_completions: Vec<u64> = Vec::with_capacity(events.loads() as usize);
     let mut load_latency_sum = 0u64;
 
-    for ev in trace.events() {
+    events.for_each_event(|ev| {
         match ev {
-            TraceEvent::Compute(n) => window.dispatch_compute(*n as u64),
+            TraceEvent::Compute(n) => window.dispatch_compute(n as u64),
             TraceEvent::Load {
                 addr,
                 ref_id,
@@ -294,10 +299,10 @@ pub fn replay_injected<O: Observer>(
                 // An address dependency delays issue until the producing
                 // load's value returns (pointer chasing serializes).
                 let issue = match dep {
-                    Some(seq) => d.max(load_completions[*seq as usize]),
+                    Some(seq) => d.max(load_completions[seq as usize]),
                     None => d,
                 };
-                let done = ms.load(*addr, issue, *ref_id, *hints);
+                let done = ms.load(addr, issue, ref_id, hints);
                 load_latency_sum += done - issue;
                 load_completions.push(done);
                 window.push(1, done);
@@ -311,12 +316,12 @@ pub fn replay_injected<O: Observer>(
                 let d = window.prepare_dispatch(1);
                 // Stores retire through the write buffer: the window entry
                 // completes immediately; the fill proceeds in background.
-                ms.store(*addr, d, *ref_id, *hints);
+                ms.store(addr, d, ref_id, hints);
                 window.push(1, d + 1);
             }
             TraceEvent::SetLoopBound(b) => {
                 let d = window.prepare_dispatch(1);
-                ms.set_loop_bound(*b);
+                ms.set_loop_bound(b);
                 window.push(1, d + 1);
             }
             TraceEvent::IndirectPrefetch {
@@ -326,7 +331,7 @@ pub fn replay_injected<O: Observer>(
                 ..
             } => {
                 let d = window.prepare_dispatch(1);
-                ms.indirect_prefetch(*base, *elem_size, *index_addr, d);
+                ms.indirect_prefetch(base, elem_size, index_addr, d);
                 window.push(1, d + 1);
             }
         }
@@ -334,10 +339,10 @@ pub fn replay_injected<O: Observer>(
         // retired-instruction and core-cycle progress. Compiled out (with
         // the counter) when the observer is the no-op default.
         if O::ENABLED {
-            events += 1;
-            ms.epoch_tick(events, window.dispatched(), window.now());
+            replayed += 1;
+            ms.epoch_tick(replayed, window.dispatched(), window.now());
         }
-    }
+    });
 
     let cycles = window.finish();
     ms.finish(cycles);

@@ -9,6 +9,9 @@
 //!   4 instructions per cycle in order, so a load miss blocks retirement
 //!   once the window fills behind it, and independent misses overlap
 //!   (memory-level parallelism) up to the window and MSHR limits.
+//! * [`overlay`] — the scheme-independent base trace a kernel is
+//!   interpreted into once, and the per-scheme hint overlay that
+//!   streams it out as that scheme's trace.
 //! * [`trace`] — the dynamic instruction trace the interpreter produces
 //!   and the simulator replays, including address-dependency edges so
 //!   dependent loads (pointer chasing) serialize exactly as they do in
@@ -21,13 +24,15 @@
 #![deny(missing_docs)]
 
 pub mod hints;
+pub mod overlay;
 pub mod packed;
 pub mod stats;
 pub mod trace;
 pub mod window;
 
 pub use hints::HintSet;
+pub use overlay::{BaseTrace, HintOverlay, IndirectSite, Lowered};
 pub use packed::{PackError, PackedFileError, PackedTrace, PreAnalysis};
 pub use stats::TraceStats;
-pub use trace::{RefId, Trace, TraceEvent};
+pub use trace::{EventStream, RefId, Trace, TraceEvent, TraceStream};
 pub use window::{Window, WindowConfig};

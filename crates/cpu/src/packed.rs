@@ -32,7 +32,7 @@ use std::fmt;
 use grp_mem::{Addr, CacheConfig};
 
 use crate::hints::HintSet;
-use crate::trace::{RefId, Trace, TraceEvent};
+use crate::trace::{EventStream, RefId, Trace, TraceEvent};
 
 /// `dep` sentinel: the load's address depends on no earlier load.
 pub const NO_DEP: u32 = u32::MAX;
@@ -187,18 +187,26 @@ impl PackedTrace {
     /// when that event is a compute batch, so the reconstructed dispatch
     /// sequence is identical to walking [`Trace::events`].
     pub fn pack(trace: &Trace) -> Result<PackedTrace, PackError> {
-        let events = trace.events();
-        let summed: u64 = events.iter().map(|e| e.instruction_count()).sum();
+        let summed: u64 = trace.events().iter().map(|e| e.instruction_count()).sum();
         if summed != trace.instructions() {
             return Err(PackError::UnfinishedTrace);
         }
-        let n_ops = events.iter().filter(|e| e.is_memory()).count();
-        if n_ops >= u32::MAX as usize {
+        Self::pack_stream(trace.stream())
+    }
+
+    /// Packs a finished event stream — e.g. a lowered base trace — under
+    /// the same ordering contract as [`PackedTrace::pack`], without the
+    /// stream ever being materialized as a [`Trace`].
+    pub fn pack_stream<S: EventStream>(mut events: S) -> Result<PackedTrace, PackError> {
+        let (loads, stores) = (events.loads(), events.stores());
+        let n_ops = loads + stores;
+        if n_ops >= u32::MAX as u64 {
             return Err(PackError::TooManyOps);
         }
-        if trace.loads() >= u32::MAX as u64 {
+        if loads >= u32::MAX as u64 {
             return Err(PackError::TooManyLoads);
         }
+        let n_ops = n_ops as usize;
         let mut pt = PackedTrace {
             addrs: Vec::with_capacity(n_ops),
             ref_ids: Vec::with_capacity(n_ops),
@@ -208,15 +216,17 @@ impl PackedTrace {
             pre_compute: Vec::with_capacity(n_ops),
             sizes: Vec::with_capacity(n_ops),
             pseudos: Vec::new(),
-            loads: trace.loads(),
-            stores: trace.stores(),
-            instructions: trace.instructions(),
+            loads,
+            stores,
+            instructions: 0,
         };
         // Events since the last memop that have not been emitted yet.
         let mut gap: Vec<PseudoKind> = Vec::new();
         let mut load_seq = 0u32;
-        for ev in events {
-            match *ev {
+        let mut bad_dep = false;
+        events.for_each_event(|ev| {
+            pt.instructions += ev.instruction_count();
+            match ev {
                 TraceEvent::Compute(n) => gap.push(PseudoKind::Compute(n)),
                 TraceEvent::SetLoopBound(b) => gap.push(PseudoKind::SetLoopBound(b)),
                 TraceEvent::IndirectPrefetch {
@@ -240,11 +250,10 @@ impl PackedTrace {
                     let i = pt.addrs.len() as u32;
                     pt.flush_gap(&mut gap, i, true);
                     let (dep, flag) = match dep {
-                        Some(seq) => {
-                            if seq >= load_seq as u64 {
-                                return Err(PackError::BadDep);
-                            }
-                            (seq as u32, FLAG_DEP)
+                        Some(seq) if seq < load_seq as u64 => (seq as u32, FLAG_DEP),
+                        Some(_) => {
+                            bad_dep = true;
+                            (NO_DEP, 0)
                         }
                         None => (NO_DEP, 0),
                     };
@@ -272,6 +281,9 @@ impl PackedTrace {
                     pt.sizes.push(size);
                 }
             }
+        });
+        if bad_dep {
+            return Err(PackError::BadDep);
         }
         let tail = pt.addrs.len() as u32;
         pt.flush_gap(&mut gap, tail, false);

@@ -1,16 +1,19 @@
-//! Per-site hint tables produced by the compiler and consumed by the
-//! interpreter.
+//! Per-site hint tables produced by the compiler and applied to the
+//! interpreter's base trace.
 //!
 //! A [`HintMap`] is the reproduction's analogue of the hint-annotated
 //! binary: for every static reference site it records the [`HintSet`]
 //! (spatial/pointer/recursive/size), for index loads of indirect accesses
 //! the [`IndirectSpec`] driving the explicit indirect-prefetch
 //! instruction (§3.3.3), and for variable-region loops whether to emit
-//! the loop-bound pseudo-instruction (§3.3.2).
+//! the loop-bound pseudo-instruction (§3.3.2). [`HintMap::overlay`]
+//! resolves it against a program's bindings into the
+//! [`grp_cpu::HintOverlay`] that lowers a base trace.
 
-use grp_cpu::{HintSet, RefId};
+use grp_cpu::{HintOverlay, HintSet, IndirectSite, RefId};
 
-use crate::program::{ArrayId, LoopId};
+use crate::interp::InterpError;
+use crate::program::{ArrayId, Bindings, LoopId, Program};
 
 /// Indirect-prefetch directive attached to the *index* load `b[i]` of an
 /// `a[b[i]]` pattern: identifies the data array `a` and its element size.
@@ -116,6 +119,48 @@ impl HintMap {
     /// True when loop `l` emits its bound at entry.
     pub fn emits_bound(&self, l: LoopId) -> bool {
         self.loop_bounds.get(l.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// The loops that emit their bound, ascending.
+    pub fn bound_loops(&self) -> impl Iterator<Item = LoopId> + '_ {
+        self.loop_bounds
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| LoopId(i as u32))
+    }
+
+    /// This map as a [`HintOverlay`] for `prog` under `bind`: hints by
+    /// site, kept loop bounds, and each indirect directive's target
+    /// array resolved to its bound base address.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpError::UnboundArray`] when an indirect target array has
+    /// no base address.
+    pub fn overlay(&self, prog: &Program, bind: &Bindings) -> Result<HintOverlay, InterpError> {
+        let mut ov = HintOverlay::new();
+        for (r, h) in self.iter_hinted() {
+            ov.set_hint(r, h);
+        }
+        for (i, spec) in self.indirect.iter().enumerate() {
+            if let Some(spec) = spec {
+                let base = bind.array_base(spec.target).ok_or_else(|| {
+                    InterpError::UnboundArray(prog.array(spec.target).name.clone())
+                })?;
+                ov.set_indirect(
+                    RefId(i as u32),
+                    IndirectSite {
+                        base,
+                        elem_size: spec.elem_size,
+                    },
+                );
+            }
+        }
+        for l in self.bound_loops() {
+            ov.keep_bound(l.0);
+        }
+        Ok(ov)
     }
 
     /// Iterates over `(site, hints)` pairs with any hint set — the static

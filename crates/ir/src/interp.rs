@@ -1,8 +1,13 @@
-//! The IR interpreter: functional execution producing a hinted trace.
+//! The IR interpreter: functional execution producing a base trace.
 //!
 //! [`Interpreter::run`] executes a [`Program`] against a
-//! [`grp_mem::Memory`], recording every load and store (with the
-//! compiler's per-site hints attached) into a [`grp_cpu::Trace`]. Two
+//! [`grp_mem::Memory`], recording every load and store into a
+//! hint-free [`grp_cpu::BaseTrace`], plus a loop-bound marker at the
+//! entry of each loop named by [`Interpreter::mark_loops`]. The
+//! interpreter never reads compiler hints: a scheme's hinted trace is
+//! the base lowered through that scheme's [`grp_cpu::HintOverlay`]
+//! ([`HintMap::overlay`]), so a kernel interprets once for every scheme
+//! ([`Interpreter::run_hinted`] does both steps for one hint map). Two
 //! properties matter for fidelity to the paper:
 //!
 //! * **Real data flow.** Loads read actual memory contents, so linked
@@ -18,11 +23,11 @@
 use std::error::Error;
 use std::fmt;
 
-use grp_cpu::{RefId, Trace};
+use grp_cpu::{BaseTrace, RefId, Trace};
 use grp_mem::{Addr, Memory};
 
 use crate::hintmap::HintMap;
-use crate::program::{BinOp, Bindings, CmpOp, Expr, MemRef, Program, Stmt, UnOp};
+use crate::program::{BinOp, Bindings, CmpOp, Expr, LoopId, MemRef, Program, Stmt, UnOp};
 use crate::types::ElemTy;
 
 /// Interpretation failure.
@@ -104,25 +109,24 @@ struct RefInfo {
     ref_id: RefId,
 }
 
-/// Executes a program, producing the dynamic trace.
+/// Executes a program, producing the dynamic base trace.
 pub struct Interpreter<'a> {
     prog: &'a Program,
-    hints: &'a HintMap,
+    bind: &'a Bindings,
     vars: Vec<Val>,
     bases: Vec<Option<Addr>>,
     dims: Vec<Vec<u64>>,
-    trace: Trace,
+    trace: BaseTrace,
     ops: u32,
     steps: u64,
     max_events: u64,
     max_steps: u64,
-    last_indirect_block: Vec<Option<u64>>,
 }
 
 impl<'a> Interpreter<'a> {
-    /// Prepares an interpreter for `prog` with runtime `bind`ings and the
-    /// compiler's `hints`.
-    pub fn new(prog: &'a Program, bind: &'a Bindings, hints: &'a HintMap) -> Self {
+    /// Prepares an interpreter for `prog` with runtime `bind`ings. No
+    /// loop is marked until [`Interpreter::mark_loops`] names some.
+    pub fn new(prog: &'a Program, bind: &'a Bindings) -> Self {
         let mut vars = vec![Val::int_untagged(0); prog.num_vars()];
         for (v, init) in bind.var_inits() {
             vars[v.0 as usize] = Val::int_untagged(*init);
@@ -153,17 +157,24 @@ impl<'a> Interpreter<'a> {
             .collect();
         Self {
             prog,
-            hints,
+            bind,
             vars,
             bases,
             dims,
-            trace: Trace::new(),
+            trace: BaseTrace::default(),
             ops: 0,
             steps: 0,
             max_events: 100_000_000,
             max_steps: 1_000_000_000,
-            last_indirect_block: vec![None; prog.num_refs as usize],
         }
+    }
+
+    /// Records a loop-bound marker (the loop's trip count) at every
+    /// entry to each of `loops` — the sites whose bound some hint
+    /// overlay may keep.
+    pub fn mark_loops(mut self, loops: impl IntoIterator<Item = LoopId>) -> Self {
+        self.trace = BaseTrace::marking(loops.into_iter().map(|l| l.0));
+        self
     }
 
     /// Overrides the trace-event limit (runaway guard).
@@ -178,13 +189,13 @@ impl<'a> Interpreter<'a> {
         self
     }
 
-    /// Runs the program to completion.
+    /// Runs the program to completion, returning its base trace.
     ///
     /// # Errors
     ///
     /// Returns [`InterpError`] when an array is unbound or an execution
     /// limit is exceeded.
-    pub fn run(mut self, mem: &mut Memory) -> Result<Trace, InterpError> {
+    pub fn run(mut self, mem: &mut Memory) -> Result<BaseTrace, InterpError> {
         // Split borrow: body belongs to prog, which we also need in &self.
         let body = &self.prog.body;
         for s in body {
@@ -193,6 +204,20 @@ impl<'a> Interpreter<'a> {
         self.flush_ops();
         self.trace.finish();
         Ok(self.trace)
+    }
+
+    /// Runs the program with `hints`' bounded loops marked and returns
+    /// the base lowered through `hints`' overlay: the trace a
+    /// hint-annotated binary of the kernel would record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Interpreter::run`]; also when an indirect directive names an
+    /// unbound array.
+    pub fn run_hinted(self, hints: &HintMap, mem: &mut Memory) -> Result<Trace, InterpError> {
+        let overlay = hints.overlay(self.prog, self.bind)?;
+        let base = self.mark_loops(hints.bound_loops()).run(mem)?;
+        Ok(base.lower(&overlay).materialize())
     }
 
     fn flush_ops(&mut self) {
@@ -227,12 +252,8 @@ impl<'a> Interpreter<'a> {
                 let val = self.eval(e, mem)?;
                 let info = self.eval_ref(r, mem)?;
                 self.flush_ops();
-                self.trace.push_store(
-                    info.addr,
-                    info.elem.size() as u8,
-                    info.ref_id,
-                    self.hints.hint(info.ref_id),
-                );
+                self.trace
+                    .push_store(info.addr, info.elem.size() as u8, info.ref_id);
                 self.write_elem(mem, info.addr, info.elem, val);
             }
             Stmt::For {
@@ -245,7 +266,7 @@ impl<'a> Interpreter<'a> {
             } => {
                 let lo_v = self.eval(lo, mem)?.as_i64();
                 let hi_v = self.eval(hi, mem)?.as_i64();
-                if self.hints.emits_bound(*id) {
+                if self.trace.marks(id.0) {
                     let trip = if *step > 0 {
                         (hi_v - lo_v).max(0) as u64 / *step as u64
                             + u64::from(!((hi_v - lo_v).max(0) as u64).is_multiple_of(*step as u64))
@@ -254,7 +275,8 @@ impl<'a> Interpreter<'a> {
                             + u64::from(!((lo_v - hi_v).max(0) as u64).is_multiple_of(step.unsigned_abs()))
                     };
                     self.flush_ops();
-                    self.trace.push_set_loop_bound(trip.min(u32::MAX as u64) as u32);
+                    self.trace
+                        .push_loop_marker(id.0, trip.min(u32::MAX as u64) as u32);
                 }
                 let mut i = lo_v;
                 loop {
@@ -314,15 +336,10 @@ impl<'a> Interpreter<'a> {
             }
             Expr::Load(r) => {
                 let info = self.eval_ref(r, mem)?;
-                self.maybe_emit_indirect(&info)?;
                 self.flush_ops();
-                let seq = self.trace.push_load(
-                    info.addr,
-                    info.elem.size() as u8,
-                    info.ref_id,
-                    self.hints.hint(info.ref_id),
-                    info.dep,
-                );
+                let seq =
+                    self.trace
+                        .push_load(info.addr, info.elem.size() as u8, info.ref_id, info.dep);
                 let mut v = self.read_elem(mem, info.addr, info.elem);
                 v.tag = Some(seq);
                 v
@@ -517,23 +534,6 @@ impl<'a> Interpreter<'a> {
         })
     }
 
-    fn maybe_emit_indirect(&mut self, info: &RefInfo) -> Result<(), InterpError> {
-        let Some(spec) = self.hints.indirect(info.ref_id) else {
-            return Ok(());
-        };
-        let blk = info.addr.block().0;
-        let slot = &mut self.last_indirect_block[info.ref_id.0 as usize];
-        if *slot == Some(blk) {
-            return Ok(());
-        }
-        *slot = Some(blk);
-        let target_base = self.base_of(spec.target)?;
-        self.flush_ops();
-        self.trace
-            .push_indirect_prefetch(target_base, spec.elem_size, info.addr, info.ref_id);
-        Ok(())
-    }
-
     fn read_elem(&self, mem: &Memory, addr: Addr, elem: ElemTy) -> Val {
         let n = match elem {
             ElemTy::I8 => Num::I(mem.read_u8(addr) as i8 as i64),
@@ -604,7 +604,23 @@ mod tests {
         hints: &HintMap,
         mem: &mut Memory,
     ) -> Trace {
-        Interpreter::new(prog, bind, hints).run(mem).unwrap()
+        Interpreter::new(prog, bind).run_hinted(hints, mem).unwrap()
+    }
+
+    /// Interprets once with `marked` loops and lowers through `hints`.
+    fn lower_with(
+        prog: &Program,
+        bind: &Bindings,
+        marked: &[crate::program::LoopId],
+        hints: &HintMap,
+        mem: &mut Memory,
+    ) -> Trace {
+        let overlay = hints.overlay(prog, bind).unwrap();
+        let base = Interpreter::new(prog, bind)
+            .mark_loops(marked.iter().copied())
+            .run(mem)
+            .unwrap();
+        base.lower(&overlay).materialize()
     }
 
     #[test]
@@ -824,7 +840,17 @@ mod tests {
         let mut bind = prog.bindings();
         bind.bind_array(a, a_base);
         bind.bind_array(b, b_base);
-        let t = run_with(&prog, &bind, &hints, &mut mem);
+        // One base, lowered: the interpreter itself emits no prefetch.
+        let base = Interpreter::new(&prog, &bind)
+            .run(&mut mem.clone())
+            .unwrap();
+        assert!(!base
+            .events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::IndirectPrefetch { .. })));
+        let t = base
+            .lower(&hints.overlay(&prog, &bind).unwrap())
+            .materialize();
         let ind: Vec<_> = t
             .events()
             .iter()
@@ -846,6 +872,11 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Load { dep: Some(_), .. }))
             .count();
         assert_eq!(dep_count, 64, "every a[b[i]] load depends on its index load");
+        // Without the directive the same base lowers with no prefetch.
+        let plain = base
+            .lower(&HintMap::empty().overlay(&prog, &bind).unwrap())
+            .materialize();
+        assert_eq!(plain.events().len() + 4, t.events().len());
     }
 
     #[test]
@@ -930,7 +961,7 @@ mod tests {
         let mut mem = Memory::new();
         let mut bind = prog.bindings();
         bind.bind_array(a, Addr(0x1000));
-        let err = Interpreter::new(&prog, &bind, &HintMap::empty())
+        let err = Interpreter::new(&prog, &bind)
             .with_max_events(1000)
             .run(&mut mem)
             .unwrap_err();
@@ -945,9 +976,7 @@ mod tests {
         let prog = pb.finish(vec![assign(s, load(arr(a, vec![c(0)])))]);
         let mut mem = Memory::new();
         let bind = prog.bindings();
-        let err = Interpreter::new(&prog, &bind, &HintMap::empty())
-            .run(&mut mem)
-            .unwrap_err();
+        let err = Interpreter::new(&prog, &bind).run(&mut mem).unwrap_err();
         assert_eq!(err, InterpError::UnboundArray("a".into()));
     }
 
@@ -969,11 +998,91 @@ mod tests {
         let mut mem = Memory::new();
         let mut bind = prog.bindings();
         bind.bind_array(a, Addr(0x9000));
-        let t = run_with(&prog, &bind, &hints, &mut mem);
+        let base = Interpreter::new(&prog, &bind).run(&mut mem).unwrap();
+        let t = base
+            .lower(&hints.overlay(&prog, &bind).unwrap())
+            .materialize();
+        assert_eq!(t.loads(), 4);
+        for e in base.events() {
+            if let TraceEvent::Load { hints: h, .. } = e {
+                assert!(h.is_empty(), "the base trace carries no hints");
+            }
+        }
         for e in t.events() {
             if let TraceEvent::Load { hints: h, .. } = e {
                 assert!(h.spatial());
             }
         }
+    }
+
+    #[test]
+    fn bound_sites_other_than_the_base_union_still_lower_exactly() {
+        // Two sibling loops and a nested one; the base marks all three
+        // (the union over schemes), each hint map keeps a different
+        // subset, and every lowering must equal interpreting with
+        // exactly that subset marked.
+        let mut pb = ProgramBuilder::new("vb2");
+        let a = pb.array("a", ElemTy::F64, &[64]);
+        let i = pb.var("i");
+        let j = pb.var("j");
+        let s = pb.var("s");
+        let body = vec![assign(s, load(arr(a, vec![var(j)])))];
+        let prog = pb.finish(vec![
+            for_(i, c(0), c(3), 1, vec![for_(j, c(0), c(8), 1, body.clone())]),
+            for_(j, c(0), c(64), 2, body),
+        ]);
+        assert_eq!(prog.num_loops, 3);
+        let mut bind = prog.bindings();
+        bind.bind_array(a, Addr(0xa000));
+        let all: Vec<_> = (0..3).map(crate::program::LoopId).collect();
+        for keep in [vec![], vec![0], vec![1], vec![0, 2], vec![0, 1, 2]] {
+            let mut hints = HintMap::sized(prog.num_refs, prog.num_loops);
+            for &l in &keep {
+                hints.mark_loop_bound(crate::program::LoopId(l));
+            }
+            let from_union = lower_with(&prog, &bind, &all, &hints, &mut Memory::new());
+            let exact = run_with(&prog, &bind, &hints, &mut Memory::new());
+            assert_eq!(
+                from_union.events(),
+                exact.events(),
+                "keeping loops {keep:?}"
+            );
+            assert_eq!(from_union.instructions(), exact.instructions());
+            let bounds = exact
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::SetLoopBound(_)))
+                .count();
+            let entries = |l: u32| if l == 1 { 3 } else { 1 };
+            assert_eq!(bounds, keep.iter().map(|&l| entries(l)).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn lowering_a_bound_the_base_never_marked_is_refused() {
+        let mut pb = ProgramBuilder::new("vb3");
+        let a = pb.array("a", ElemTy::F64, &[8]);
+        let i = pb.var("i");
+        let s = pb.var("s");
+        let prog = pb.finish(vec![for_(
+            i,
+            c(0),
+            c(8),
+            1,
+            vec![assign(s, load(arr(a, vec![var(i)])))],
+        )]);
+        let mut bind = prog.bindings();
+        bind.bind_array(a, Addr(0xb000));
+        let mut hints = HintMap::sized(prog.num_refs, prog.num_loops);
+        hints.mark_loop_bound(crate::program::LoopId(0));
+        let overlay = hints.overlay(&prog, &bind).unwrap();
+        let base = Interpreter::new(&prog, &bind)
+            .run(&mut Memory::new())
+            .unwrap();
+        let lowered = std::panic::catch_unwind(|| base.lower(&overlay).materialize());
+        assert!(
+            lowered.is_err(),
+            "an unrecorded trip count cannot be lowered"
+        );
     }
 }

@@ -13,11 +13,12 @@
 //! * indirect array references (`c(b(i), j)`, §4.3).
 //!
 //! Programs are *executable*: [`interp::Interpreter`] runs a program
-//! against a [`grp_mem::Memory`] and records a [`grp_cpu::Trace`] of
-//! loads/stores (with compiler hints attached per static reference) that
-//! the timing simulator replays. The compiler analyses in `grp-compiler`
-//! operate on the same [`Program`] structure, so hints are *derived*, not
-//! hand-written.
+//! against a [`grp_mem::Memory`] and records a hint-free
+//! [`grp_cpu::BaseTrace`] of loads/stores; a [`HintMap`]'s overlay
+//! lowers it into the hinted [`grp_cpu::Trace`] the timing simulator
+//! replays, so one interpretation serves every hint configuration. The
+//! compiler analyses in `grp-compiler` operate on the same [`Program`]
+//! structure, so hints are *derived*, not hand-written.
 //!
 //! # Example
 //!
@@ -45,8 +46,8 @@
 //! let base = heap.alloc_array(64, 8);
 //! let mut bind = prog.bindings();
 //! bind.bind_array(a, base);
-//! let trace = Interpreter::new(&prog, &bind, &HintMap::empty())
-//!     .run(&mut mem)
+//! let trace = Interpreter::new(&prog, &bind)
+//!     .run_hinted(&HintMap::empty(), &mut mem)
 //!     .unwrap();
 //! assert_eq!(trace.loads(), 64);
 //! ```

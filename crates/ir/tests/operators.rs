@@ -4,7 +4,7 @@
 
 use grp_ir::build::*;
 use grp_ir::interp::Interpreter;
-use grp_ir::{ElemTy, HintMap, ProgramBuilder};
+use grp_ir::{ElemTy, ProgramBuilder};
 use grp_mem::{Addr, Memory};
 
 /// Evaluates an integer expression by storing it to a[0].
@@ -15,9 +15,7 @@ fn eval_i64(e: grp_ir::Expr) -> i64 {
     let mut mem = Memory::new();
     let mut bind = prog.bindings();
     bind.bind_array(a, Addr(0x1000));
-    Interpreter::new(&prog, &bind, &HintMap::empty())
-        .run(&mut mem)
-        .expect("runs");
+    Interpreter::new(&prog, &bind).run(&mut mem).expect("runs");
     mem.read_i64(Addr(0x1000))
 }
 
@@ -29,9 +27,7 @@ fn eval_f64(e: grp_ir::Expr) -> f64 {
     let mut mem = Memory::new();
     let mut bind = prog.bindings();
     bind.bind_array(a, Addr(0x1000));
-    Interpreter::new(&prog, &bind, &HintMap::empty())
-        .run(&mut mem)
-        .expect("runs");
+    Interpreter::new(&prog, &bind).run(&mut mem).expect("runs");
     mem.read_f64(Addr(0x1000))
 }
 
@@ -113,9 +109,7 @@ fn element_width_conversions_round_trip() {
     bind.bind_array(a32, Addr(0x1200));
     bind.bind_array(f32a, Addr(0x1300));
     bind.bind_array(out, Addr(0x2000));
-    Interpreter::new(&prog, &bind, &HintMap::empty())
-        .run(&mut mem)
-        .expect("runs");
+    Interpreter::new(&prog, &bind).run(&mut mem).expect("runs");
     assert_eq!(mem.read_i64(Addr(0x2000)), -2, "i8 sign-extends");
     assert_eq!(mem.read_i64(Addr(0x2008)), -300, "i16 sign-extends");
     assert_eq!(mem.read_i64(Addr(0x2010)), -70000, "i32 sign-extends");
@@ -137,9 +131,7 @@ fn negative_step_loops_count_down() {
     let mut mem = Memory::new();
     let mut bind = prog.bindings();
     bind.bind_array(a, Addr(0x1000));
-    let t = Interpreter::new(&prog, &bind, &HintMap::empty())
-        .run(&mut mem)
-        .expect("runs");
+    let t = Interpreter::new(&prog, &bind).run(&mut mem).expect("runs");
     assert_eq!(t.stores(), 8);
     assert_eq!(mem.read_i64(Addr(0x1000)), 0);
     assert_eq!(mem.read_i64(Addr(0x1038)), 7);
@@ -155,8 +147,6 @@ fn array_base_matches_binding() {
     let mut bind = prog.bindings();
     bind.bind_array(a, Addr(0xABC0));
     bind.bind_array(out, Addr(0x2000));
-    Interpreter::new(&prog, &bind, &HintMap::empty())
-        .run(&mut mem)
-        .expect("runs");
+    Interpreter::new(&prog, &bind).run(&mut mem).expect("runs");
     assert_eq!(mem.read_u64(Addr(0x2000)), 0xABC0);
 }

@@ -72,8 +72,8 @@ fn main() {
     bind.bind_array(b, b_base);
 
     let mut run_mem = mem.clone();
-    let trace = Interpreter::new(&program, &bind, &hints)
-        .run(&mut run_mem)
+    let trace = Interpreter::new(&program, &bind)
+        .run_hinted(&hints, &mut run_mem)
         .expect("kernel runs");
     println!(
         "index pattern: {} — {} indirect-prefetch instructions in the trace\n",

@@ -93,8 +93,8 @@ fn main() {
         };
         let marked = census(&program, &hints).spatial;
         let mut run_mem = mem.clone();
-        let trace = Interpreter::new(&program, &bind, &hints)
-            .run(&mut run_mem)
+        let trace = Interpreter::new(&program, &bind)
+            .run_hinted(&hints, &mut run_mem)
             .expect("stencil runs");
         let r = run_trace(&trace, &run_mem, heap, scheme, &cfg);
         if label == "none" {

@@ -71,8 +71,8 @@ fn main() {
     let mut bind = program.bindings();
     bind.bind_var(head, nodes[0].0 as i64);
     let mut run_mem = mem.clone();
-    let trace = Interpreter::new(&program, &bind, &hints)
-        .run(&mut run_mem)
+    let trace = Interpreter::new(&program, &bind)
+        .run_hinted(&hints, &mut run_mem)
         .expect("kernel runs");
     println!("trace: {} loads over {} nodes\n", trace.loads(), nodes.len());
 

@@ -129,7 +129,7 @@ proptest! {
         let mut mem = Memory::new();
         let mut bind = prog.bindings();
         bind.bind_array(a, Addr(0x100_0000));
-        let trace = Interpreter::new(&prog, &bind, &hints).run(&mut mem).unwrap();
+        let trace = Interpreter::new(&prog, &bind).run_hinted(&hints, &mut mem).unwrap();
         prop_assert_eq!(trace.loads(), (n1 * n2) as u64);
         // Simulate it too: must not panic and must retire everything.
         let r = run_trace(&trace, &mem, heap(), Scheme::GrpVar, &SimConfig::paper());
@@ -179,7 +179,7 @@ proptest! {
         let mut bind = prog.bindings();
         bind.bind_var(head, addrs[0].0 as i64);
         let hints = analyze(&prog, &AnalysisConfig::default());
-        let trace = Interpreter::new(&prog, &bind, &hints).run(&mut mem).unwrap();
+        let trace = Interpreter::new(&prog, &bind).run_hinted(&hints, &mut mem).unwrap();
         prop_assert_eq!(trace.loads() as usize, 2 * addrs.len());
         let r = run_trace(&trace, &mem, heap(), Scheme::GrpVar, &SimConfig::paper());
         prop_assert!(r.cycles > 0);
