@@ -128,10 +128,11 @@ pub fn parse_schemes_args(args: &[String]) -> Result<Option<Vec<grp_core::Scheme
 }
 
 /// Parses the replay-tier flags shared by the `perf`, `all`, `serve`,
-/// and `check` binaries: `--packed` selects the packed
-/// struct-of-arrays replay tier, `--trace-cache <dir>` enables the
-/// cross-process cache of packed, pre-interpreted traces. Both default
-/// off ([`crate::sched::ReplayMode::default`]).
+/// and `check` binaries: `--packed` packs each cell's trace and replays
+/// the packed form in place, `--trace-cache <dir>` enables the
+/// cross-process cache of packed, pre-interpreted traces (whose hits
+/// always replay in place). Both default off
+/// ([`crate::sched::ReplayMode::default`]).
 pub fn parse_replay_args(args: &[String]) -> Result<crate::sched::ReplayMode, String> {
     let packed = strict_flag(args, "--packed")?;
     let dir = strict_value(args, "--trace-cache", "a cache directory path")?;

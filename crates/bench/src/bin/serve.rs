@@ -11,10 +11,13 @@
 //! ```text
 //! cargo run --release -p grp-bench --bin serve -- [--scale test|small|paper]
 //!     [--jobs N]            worker count (default: available parallelism)
-//!     [--packed]            replay cells through the packed tier
-//!                           (bit-identical; --selfcheck replays the
-//!                           materialized path and so doubles as a
-//!                           per-reply packed-identity gate)
+//!     [--packed]            pack each cell's trace and replay it in
+//!                           place; trace-cache hits always replay in
+//!                           place, so this only changes misses and
+//!                           cache-less runs (bit-identical;
+//!                           --selfcheck replays the lowered stream and
+//!                           so doubles as a per-reply packed-identity
+//!                           gate)
 //!     [--trace-cache <dir>] reuse packed pre-interpreted traces
 //!                           across batches, connections, and processes
 //!     [--socket <path>]     accept connections on a unix socket instead

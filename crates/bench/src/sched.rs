@@ -18,7 +18,7 @@
 //!   them).
 //! * Cells are dealt **kernel-grouped**: kernels largest-first by a
 //!   static cost model ([`cell_weight`], calibrated against measured
-//!   packed-tier per-cell replay times), each kernel's cells contiguous
+//!   per-cell replay times), each kernel's cells contiguous
 //!   and largest-first within, dealt serpentine round-robin into
 //!   per-worker deques — so workers move through the kernels together
 //!   and about one base per worker is live. An idle worker steals from
@@ -41,26 +41,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::Instant;
 
-use grp_core::{
-    engine_for, replay, run_trace, run_trace_packed, LatencyHist, NullObserver, RunResult, Scheme,
-    SimConfig,
-};
-use grp_cpu::PackedTrace;
+use grp_core::{engine_for, replay, LatencyHist, NullObserver, RunResult, Scheme, SimConfig};
+use grp_cpu::{EventStream, PackedTrace};
+use grp_mem::{HeapRange, Memory};
 use grp_workloads::{BuiltWorkload, Interpreted, Scale};
 
 use crate::telemetry::registry::{Registry, Shard};
 use crate::tracecache::TraceCache;
 
-/// How cells replay: the materialized enum-event path (default), the
-/// packed struct-of-arrays tier (`--packed`), and optionally a
-/// cross-process [`TraceCache`] of packed, pre-interpreted traces
-/// (`--trace-cache <dir>`). Both knobs are observationally pure:
-/// per-cell `RunResult`s are bit-identical across all four
+/// How cells replay. Every replay goes through the one
+/// [`grp_core::replay`] loop; the knobs only pick the stream it reads:
+/// the kernel base lowered through the scheme's overlay (default), that
+/// stream packed to a [`PackedTrace`] first and replayed in place
+/// (`--packed`), and optionally a cross-process [`TraceCache`] of
+/// packed, pre-interpreted traces (`--trace-cache <dir>`), whose hits
+/// always replay the packed stream. Both knobs are observationally
+/// pure: per-cell `RunResult`s are bit-identical across all four
 /// combinations (enforced by `tests/packed_identity.rs` and the
 /// scheduler determinism tests).
 #[derive(Debug, Clone, Default)]
 pub struct ReplayMode {
-    /// Replay through [`run_trace_packed`] instead of [`run_trace`].
+    /// On a trace-cache miss or with no cache, pack the lowered stream
+    /// and replay [`PackedTrace::stream`] instead of the lowered stream
+    /// itself. Cache hits replay the packed stream either way.
     pub packed: bool,
     /// Persist and reuse packed traces + memory images across
     /// processes. A cache hit skips build + interpretation + hint
@@ -166,7 +169,8 @@ pub struct CellResult {
     /// Seconds spent building/tracing before replay (includes the
     /// workload build only for the worker that actually built it).
     pub setup_seconds: f64,
-    /// Seconds spent in `run_trace` alone — the comparable unit to the
+    /// Seconds spent in the replay loop alone (a cache hit's load and
+    /// decode land in `setup_seconds`) — the comparable unit to the
     /// serial perf harness's replay column.
     pub replay_seconds: f64,
     /// Microseconds the cell waited from scheduler start to pickup.
@@ -304,13 +308,11 @@ impl WorkloadCache {
 }
 
 /// Static relative cost of one cell, calibrated against measured
-/// per-cell replay seconds under the packed tier at Small scale (bzip2
-/// is ~26% of the replay wall; SRP-class schemes replay ~2.3× slower
-/// than the no-prefetch baseline — the packed tier narrowed the old 6×
-/// gap by cutting per-event dispatch overhead, which baseline cells
-/// paid proportionally more of). Kernel weights are replay-wall
-/// percentages; scheme weights are ~10× the per-scheme ratio to the
-/// no-prefetch baseline. Only *load balance* depends on this — results
+/// per-cell replay seconds at Small scale (bzip2 is ~26% of the replay
+/// wall; SRP-class schemes replay ~2.3× slower than the no-prefetch
+/// baseline). Kernel weights are replay-wall percentages; scheme
+/// weights are ~10× the per-scheme ratio to the no-prefetch
+/// baseline. Only *load balance* depends on this — results
 /// never do — so a stale table degrades tail latency, not correctness.
 pub fn cell_weight(kernel: &str, scheme: Scheme) -> u64 {
     let k: u64 = match kernel {
@@ -736,10 +738,13 @@ fn record_cell(
 /// Runs one `(kernel, scheme)` cell under `mode`, preferring the trace
 /// cache when one is configured. `get_base` supplies the kernel's
 /// interpreted base and is only invoked on a cache miss — a hit skips
-/// the build, interpretation, and hint derivation entirely. On a miss
-/// the base is lowered through the scheme's hint overlay and streamed
-/// into the replay loop (or, under `--packed` / a trace cache, packed
-/// straight from that stream); no per-scheme trace is materialized.
+/// the build, interpretation, and hint derivation entirely, and replays
+/// the loaded packed trace in place ([`PackedTrace::stream`]) whatever
+/// `mode.packed` says, never unpacking it. On a miss the base is
+/// lowered through the scheme's hint overlay and streamed into the
+/// replay loop (under `--packed` / a trace cache it is also packed
+/// straight from that stream, and `--packed` replays the packed
+/// stream); no per-scheme trace is materialized.
 ///
 /// Returns `(result, events, setup_seconds, replay_seconds)`; `events`
 /// counts the scheme's lowered trace events in both tiers so packed
@@ -775,11 +780,7 @@ pub fn run_cell(
             let setup_seconds = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
             let _s = prof.span_cell("replay", kernel, &slabel);
-            let result = if mode.packed {
-                run_trace_packed(&pt, &mem, heap, scheme, cfg)
-            } else {
-                run_trace(&pt.unpack(), &mem, heap, scheme, cfg)
-            };
+            let result = replay_stream(pt.stream(), &mem, heap, scheme, cfg);
             return Ok((result, events, setup_seconds, t1.elapsed().as_secs_f64()));
         }
     }
@@ -817,26 +818,37 @@ pub fn run_cell(
     let _s = prof.span_cell("replay", kernel, &slabel);
     let (result, events) = match &pt {
         Some(pt) if mode.packed => (
-            run_trace_packed(pt, mem, built.heap, scheme, cfg),
+            replay_stream(pt.stream(), mem, built.heap, scheme, cfg),
             pt.event_count(),
         ),
         _ => {
             let mut stream = lowered();
-            let engine = engine_for(scheme, cfg);
-            let (r, _) = replay(
-                &mut stream,
-                mem,
-                built.heap,
-                scheme,
-                cfg,
-                engine,
-                NullObserver,
-                None,
-            );
+            let r = replay_stream(&mut stream, mem, built.heap, scheme, cfg);
             (r, stream.emitted())
         }
     };
     Ok((result, events, setup_seconds, t1.elapsed().as_secs_f64()))
+}
+
+/// One unobserved, unfaulted replay of `events` under `scheme`.
+fn replay_stream<S: EventStream>(
+    events: S,
+    mem: &Memory,
+    heap: HeapRange,
+    scheme: Scheme,
+    cfg: &SimConfig,
+) -> RunResult {
+    replay(
+        events,
+        mem,
+        heap,
+        scheme,
+        cfg,
+        engine_for(scheme, cfg),
+        NullObserver,
+        None,
+    )
+    .0
 }
 
 /// Runs one cell under `mode` with `get_base` supplying its kernel's

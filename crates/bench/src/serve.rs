@@ -526,9 +526,9 @@ impl Server {
 
     /// Re-runs every completed cell serially on a **freshly built**
     /// workload (no shared cache — full independence from the fleet
-    /// path) and records any bit-difference. The serial side always
-    /// replays materialized, so under `--packed` (or `--trace-cache`)
-    /// this is also a packed-vs-materialized identity gate per reply.
+    /// path) and records any bit-difference. The serial side replays the
+    /// lowered stream, so under `--packed`, and on every `--trace-cache`
+    /// hit, this is also a packed-vs-lowered identity gate per reply.
     fn selfcheck_batch(&mut self, completed: &[CellResult]) {
         for cell in completed {
             let Ok(got) = &cell.outcome else { continue };
@@ -1201,6 +1201,57 @@ mod tests {
         let twin = std::fs::read_to_string(format!("{}.json", path.display())).expect("json twin");
         let doc = Json::parse(&twin).expect("twin parses");
         assert!(doc.get("scraped_at_unix_micros").and_then(|v| v.as_u64()).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_version_entry_rebuilds_and_serves_the_reference_result() {
+        use crate::tracecache::{MissReason, TraceCache};
+        let dir = std::env::temp_dir().join(format!("grp-serve-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(TraceCache::new(&dir));
+        let mut server = Server::new(ServerOpts {
+            workers: 1,
+            default_scale: SuiteScale::Test,
+            cfg: SimConfig::paper(),
+            mode: ReplayMode {
+                packed: false,
+                trace_cache: Some(cache.clone()),
+                telemetry: None,
+            },
+            selfcheck: true,
+            registry: Arc::new(Registry::new()),
+            request_deadline: None,
+            max_inflight: None,
+        });
+        let request = "{\"kernel\":\"gzip\",\"scheme\":\"GRP/Var\"}\n\n";
+        let cc = Scheme::GrpVar.compiler_config();
+        // A cold request fills the cache; then the entry's header is
+        // rewritten to say version 1, as an older build left it.
+        let _ = run_session(&mut server, request);
+        let path = cache.entry_path("gzip", Scale::Test, cc.as_ref());
+        let mut old = std::fs::read(&path).expect("cold request stored its entry");
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let err = cache.probe("gzip", Scale::Test, cc.as_ref()).unwrap_err();
+        assert_eq!(err.reason, MissReason::StaleVersion);
+
+        let replies = run_session(&mut server, request);
+        assert_eq!(replies.len(), 1);
+        let want = grp_workloads::by_name("gzip")
+            .expect("registered")
+            .build(Scale::Test)
+            .run(Scheme::GrpVar, &SimConfig::paper());
+        assert_eq!(
+            replies[0].get("result").map(Json::render),
+            Some(run_result_json(&want, None).render()),
+            "the rebuilt entry serves the reference result"
+        );
+        assert_eq!(server.mismatches(), 0);
+        assert!(
+            cache.probe("gzip", Scale::Test, cc.as_ref()).is_ok(),
+            "the request rewrote the entry in the current version"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

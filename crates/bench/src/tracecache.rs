@@ -16,11 +16,12 @@
 //!
 //! Entries land through [`crate::artifact::atomic_write`], so a killed
 //! writer never leaves a torn entry — and every load fully validates
-//! magic, version, structural lengths, and an FNV-1a checksum over the
-//! whole entry. **Any** validation failure (stale version, truncation,
-//! flipped bytes, a hand-edited file) makes [`TraceCache::load`] return
-//! `None`: the caller rebuilds and overwrites, it never crashes and
-//! never trusts a corrupt entry.
+//! magic, version, a [`grp_cpu::checksum`] over the whole entry, and
+//! structural lengths, in that order. **Any** validation failure (stale
+//! version, truncation, flipped bytes, a hand-edited file) makes
+//! [`TraceCache::load`] return `None`: the caller rebuilds and
+//! overwrites, it never crashes and never trusts a corrupt entry. An
+//! entry an older build wrote reads as a stale version, not as corrupt.
 //!
 //! The cache key is `(kernel, scale, fingerprint(compiler config))`.
 //! Schemes sharing a compiler configuration (7 of the 12 share "no
@@ -33,15 +34,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use grp_compiler::AnalysisConfig;
-use grp_cpu::PackedTrace;
+use grp_cpu::{checksum, PackedTrace};
 use grp_mem::{Addr, HeapRange, Memory, PAGE_BYTES};
 use grp_workloads::Scale;
 
 /// Entry file magic: "GRPC" (GRP cache).
 const MAGIC: [u8; 4] = *b"GRPC";
 /// Entry format version; bump on any layout change — old entries then
-/// read as stale and rebuild.
-const VERSION: u32 = 1;
+/// read as stale and rebuild. Version 2 switched both this entry's and
+/// the embedded packed trace's checksum from byte-serial FNV-1a to the
+/// word-wise [`checksum`].
+const VERSION: u32 = 2;
 
 /// Why a cache lookup did not produce a usable entry. The label feeds
 /// the `grp_tracecache_misses_total{reason=…}` counter, so each
@@ -57,7 +60,7 @@ pub enum MissReason {
     BadMagic,
     /// The entry was written by a different format version.
     StaleVersion,
-    /// The whole-entry FNV-1a checksum does not match (corrupt/torn).
+    /// The whole-entry checksum does not match (corrupt/torn).
     ChecksumMismatch,
     /// The payload ends before its structure says it should.
     Truncated,
@@ -247,7 +250,8 @@ impl TraceCache {
     /// fails [`decode_entry`]. A quarantined key reads as an absent
     /// miss and rebuilds; the torn bytes stay on disk for inspection.
     /// Each quarantine lands a `grp_tracecache_quarantined_total`
-    /// counter and a warn log.
+    /// counter and a warn log. An entry from another format version is
+    /// not corrupt: it stays in place for the next store to overwrite.
     ///
     /// Returns `(recovery report, quarantined entry count)`.
     ///
@@ -271,10 +275,14 @@ impl TraceCache {
             if path.extension().is_none_or(|x| x != "grpt") {
                 continue;
             }
-            let verdict = std::fs::read(&path).map_err(|e| e.to_string()).and_then(|bytes| {
-                decode_entry(&bytes).map(|_| ()).map_err(|e| e.detail)
-            });
-            let Err(detail) = verdict else { continue };
+            let detail = match std::fs::read(&path) {
+                Err(e) => e.to_string(),
+                Ok(bytes) => match decode_entry(&bytes) {
+                    Ok(_) => continue,
+                    Err(e) if e.reason == MissReason::StaleVersion => continue,
+                    Err(e) => e.detail,
+                },
+            };
             let mut dst = path.as_os_str().to_owned();
             dst.push(".quarantine");
             if std::fs::rename(&path, PathBuf::from(&dst)).is_ok() {
@@ -303,7 +311,7 @@ impl TraceCache {
 /// magic "GRPC" | version u32 | heap_start u64 | heap_end u64
 /// | n_pages u64 | n_pages x (page_id u64, 4096 raw bytes)
 /// | packed_len u64 | packed-trace bytes (self-checksummed)
-/// | fnv1a64 checksum over everything above
+/// | checksum u64 (grp_cpu::checksum over everything above)
 /// ```
 pub fn encode_entry(trace: &PackedTrace, mem: &Memory, heap: HeapRange) -> Vec<u8> {
     let pages = mem.snapshot_pages();
@@ -320,33 +328,22 @@ pub fn encode_entry(trace: &PackedTrace, mem: &Memory, heap: HeapRange) -> Vec<u
     }
     out.extend_from_slice(&(packed.len() as u64).to_le_bytes());
     out.extend_from_slice(&packed);
-    let sum = fnv1a64(&out);
+    let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
 /// Decodes and fully validates one entry (inverse of [`encode_entry`]).
+/// Magic and version are read before the checksum is verified, so an
+/// entry in another format version is a [`MissReason::StaleVersion`]
+/// miss rather than a checksum mismatch.
 ///
 /// # Errors
 ///
 /// A [`ProbeError`] naming the first structural problem; never panics
 /// on any input.
 pub fn decode_entry(bytes: &[u8]) -> Result<(PackedTrace, Memory, HeapRange), ProbeError> {
-    if bytes.len() < 8 {
-        return Err(ProbeError::new(
-            MissReason::Truncated,
-            "truncated: shorter than the checksum alone",
-        ));
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let want = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if fnv1a64(body) != want {
-        return Err(ProbeError::new(
-            MissReason::ChecksumMismatch,
-            "checksum mismatch (corrupt or torn entry)",
-        ));
-    }
-    let mut c = Cur { b: body, at: 0 };
+    let mut c = Cur { b: bytes, at: 0 };
     if c.take(4)? != MAGIC {
         return Err(ProbeError::new(
             MissReason::BadMagic,
@@ -360,6 +357,21 @@ pub fn decode_entry(bytes: &[u8]) -> Result<(PackedTrace, Memory, HeapRange), Pr
             format!("stale entry version {version} (current {VERSION})"),
         ));
     }
+    if bytes.len() < c.at + 8 {
+        return Err(ProbeError::new(
+            MissReason::Truncated,
+            "truncated: no room for the checksum",
+        ));
+    }
+    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
+    let want = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+    if checksum(body) != want {
+        return Err(ProbeError::new(
+            MissReason::ChecksumMismatch,
+            "checksum mismatch (corrupt or torn entry)",
+        ));
+    }
+    let mut c = Cur { b: body, at: c.at };
     let heap = HeapRange {
         start: Addr(c.u64()?),
         end: Addr(c.u64()?),
@@ -428,6 +440,8 @@ impl<'a> Cur<'a> {
 /// Stable fingerprint of a compiler configuration for the entry name.
 /// `None` (hint-blind schemes) and every distinct `AnalysisConfig`
 /// hash apart; configurations equal under `PartialEq` hash together.
+/// It is FNV-1a over a few dozen bytes, unchanged since the first entry
+/// format, so entry file names stay stable across format versions.
 pub fn cc_fingerprint(cc: Option<&AnalysisConfig>) -> u64 {
     match cc {
         None => fnv1a64(b"no-hints"),
@@ -461,6 +475,7 @@ fn scale_tag(scale: Scale) -> &'static str {
     }
 }
 
+/// FNV-1a 64-bit, the [`cc_fingerprint`] hash.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -473,7 +488,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grp_core::{run_trace_packed, Scheme, SimConfig};
+    use grp_core::{engine_for, replay, run_trace, NullObserver, Scheme, SimConfig};
+    use grp_cpu::PackedFileError;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -482,21 +498,40 @@ mod tests {
         dir
     }
 
-    fn sample() -> (PackedTrace, Memory, HeapRange) {
-        let built = grp_workloads::by_name("twolf").expect("registered").build(Scale::Test);
+    /// twolf's GRP/Var trace at test scale, materialized and packed.
+    fn sample_trace() -> (grp_cpu::Trace, PackedTrace, Memory, HeapRange) {
+        let built = grp_workloads::by_name("twolf")
+            .expect("registered")
+            .build(Scale::Test);
         let cc = Scheme::GrpVar.compiler_config();
         let (trace, mem) = built.trace(cc.as_ref());
         let pt = PackedTrace::pack(&trace).expect("packs");
-        (pt, mem, built.heap)
+        (trace, pt, mem, built.heap)
+    }
+
+    fn sample() -> (PackedTrace, Memory, HeapRange) {
+        let (_, pt, mem, heap) = sample_trace();
+        (pt, mem, heap)
+    }
+
+    /// Rewrites an entry's trailing checksum after a deliberate edit.
+    fn rechecksum(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let sum = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        bytes
     }
 
     #[test]
     fn store_then_load_round_trips_and_replays_identically() {
         let dir = scratch("roundtrip");
         let cache = TraceCache::new(&dir);
-        let (pt, mem, heap) = sample();
+        let (trace, pt, mem, heap) = sample_trace();
         let cc = Scheme::GrpVar.compiler_config();
-        assert!(cache.load("twolf", Scale::Test, cc.as_ref()).is_none(), "cold cache misses");
+        assert!(
+            cache.load("twolf", Scale::Test, cc.as_ref()).is_none(),
+            "cold cache misses"
+        );
         cache
             .store("twolf", Scale::Test, cc.as_ref(), &pt, &mem, heap)
             .expect("store");
@@ -504,11 +539,24 @@ mod tests {
         assert_eq!(pt, pt2, "packed trace survives the disk round trip");
         assert_eq!(heap, heap2);
         assert_eq!(mem.resident_pages(), mem2.resident_pages());
-        // The replayed result from the cached entry is bit-identical.
+        // The cached entry, replayed in place, is bit-identical to the
+        // materialized trace under every scheme.
         let cfg = SimConfig::paper();
-        let a = run_trace_packed(&pt, &mem, heap, Scheme::GrpVar, &cfg);
-        let b = run_trace_packed(&pt2, &mem2, heap2, Scheme::GrpVar, &cfg);
-        assert_eq!(a, b);
+        for scheme in Scheme::ALL {
+            let want = run_trace(&trace, &mem, heap, scheme, &cfg);
+            let engine = engine_for(scheme, &cfg);
+            let (got, _) = replay(
+                pt2.stream(),
+                &mem2,
+                heap2,
+                scheme,
+                &cfg,
+                engine,
+                NullObserver,
+                None,
+            );
+            assert_eq!(want, got, "{scheme:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -557,24 +605,22 @@ mod tests {
             );
         }
 
-        // Stale version: rebuild, not crash. (Re-checksum so the version
-        // field is the first failure seen.)
+        // Stale version: rebuild, not crash — whether or not the
+        // checksum matches, because the version is read first (an
+        // older build's entry carries an older checksum).
         let mut stale = good.clone();
         stale[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = stale.len() - 8;
-        let sum = fnv1a64(&stale[..body_len]);
-        stale[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &stale).unwrap();
-        let err = cache.probe("twolf", Scale::Test, None).unwrap_err();
-        assert_eq!(err.reason, MissReason::StaleVersion);
-        assert!(err.detail.contains("stale entry version 99"), "{err}");
+        for bytes in [stale.clone(), rechecksum(stale)] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = cache.probe("twolf", Scale::Test, None).unwrap_err();
+            assert_eq!(err.reason, MissReason::StaleVersion);
+            assert!(err.detail.contains("stale entry version 99"), "{err}");
+        }
 
         // Wrong magic.
         let mut nomagic = good.clone();
         nomagic[0..4].copy_from_slice(b"NOPE");
-        let sum = fnv1a64(&nomagic[..body_len]);
-        nomagic[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &nomagic).unwrap();
+        std::fs::write(&path, rechecksum(nomagic)).unwrap();
         let err = cache.probe("twolf", Scale::Test, None).unwrap_err();
         assert_eq!(err.reason, MissReason::BadMagic);
         assert!(err.detail.contains("bad magic"), "{err}");
@@ -642,9 +688,20 @@ mod tests {
         std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
         let orphan = dir.join("x.grpt.4999999.3.tmp");
         std::fs::write(&orphan, "partial").unwrap();
-        let (report, quarantined) =
-            cache.recover(std::time::Duration::ZERO).expect("recover scan");
-        assert_eq!(quarantined, 1, "torn entry quarantined");
+        // An entry an older build wrote: stale, not corrupt.
+        let stale = dir.join("gzip-test-0000000000000000.grpt");
+        let mut old = bytes.clone();
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&stale, &old).unwrap();
+        let (report, quarantined) = cache
+            .recover(std::time::Duration::ZERO)
+            .expect("recover scan");
+        assert_eq!(quarantined, 1, "torn entry quarantined, stale one not");
+        assert_eq!(
+            std::fs::read(&stale).unwrap(),
+            old,
+            "stale entry left in place"
+        );
         assert_eq!(report.swept_tmp, 1, "staging orphan swept");
         assert!(!torn.exists(), "torn entry renamed away");
         let mut q = torn.into_os_string();
@@ -656,6 +713,86 @@ mod tests {
         let (report2, q2) = cache.recover(std::time::Duration::ZERO).expect("rescan");
         assert_eq!((report2.swept_tmp, q2), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Flips one byte at each of `positions`, asserting `decode` rejects
+    /// every flip and that flips at `body` offsets are checksum misses.
+    fn assert_flips_rejected<E: std::fmt::Debug>(
+        bytes: &[u8],
+        positions: &[usize],
+        body: std::ops::Range<usize>,
+        decode: impl Fn(&[u8]) -> Result<(), E>,
+        is_checksum_miss: impl Fn(&E) -> bool,
+        rng: &mut grp_testkit::Rng,
+    ) {
+        for &pos in positions {
+            let mut b = bytes.to_vec();
+            b[pos] ^= 1 << rng.gen_range(0..8u32);
+            let err = decode(&b).expect_err(&format!("flip at byte {pos} must be rejected"));
+            if body.contains(&pos) {
+                assert!(is_checksum_miss(&err), "flip at body byte {pos}: {err:?}");
+            }
+        }
+        for cut in 1..=8 {
+            decode(&bytes[..bytes.len() - cut])
+                .expect_err(&format!("truncation by {cut} bytes must be rejected"));
+        }
+    }
+
+    /// Every header byte, the first and last body byte, a byte in each
+    /// of the checksum's four lanes, the whole sub-word tail of the
+    /// `summed` range, then `n` seeded positions in `0..len`.
+    fn flip_positions(
+        len: usize,
+        header: usize,
+        body: &std::ops::Range<usize>,
+        summed: &std::ops::Range<usize>,
+        n: usize,
+        rng: &mut grp_testkit::Rng,
+    ) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..header).collect();
+        p.extend([body.start, body.end - 1]);
+        p.extend((0..4).map(|lane| summed.start + lane * 8 + 3));
+        let tail = summed.len() % 8;
+        assert!(
+            tail > 0,
+            "the sample's checksummed range ends in a sub-word tail"
+        );
+        p.extend(summed.end - tail..summed.end);
+        p.extend((0..n).map(|_| rng.gen_range(0..len)));
+        p
+    }
+
+    #[test]
+    fn every_single_byte_flip_and_short_truncation_is_rejected() {
+        let mut rng = grp_testkit::Rng::seed_from_u64(0x6772_7063_7632);
+        let (pt, mem, heap) = sample();
+        // The whole entry: magic and version, then a checksum over
+        // everything before the 8-byte trailer that holds it.
+        let entry = encode_entry(&pt, &mem, heap);
+        let (body, summed) = (8..entry.len(), 0..entry.len() - 8);
+        let positions = flip_positions(entry.len(), 8, &body, &summed, 256, &mut rng);
+        assert_flips_rejected(
+            &entry,
+            &positions,
+            body,
+            |b| decode_entry(b).map(|_| ()),
+            |e| e.reason == MissReason::ChecksumMismatch,
+            &mut rng,
+        );
+        // The embedded packed trace: a 72-byte header whose last word is
+        // the checksum of the payload that follows.
+        let grpt = pt.to_bytes();
+        let body = 72..grpt.len();
+        let positions = flip_positions(grpt.len(), 72, &body, &body, 256, &mut rng);
+        assert_flips_rejected(
+            &grpt,
+            &positions,
+            body,
+            |b| PackedTrace::from_bytes(b).map(|_| ()),
+            |e| *e == PackedFileError::ChecksumMismatch,
+            &mut rng,
+        );
     }
 
     #[test]

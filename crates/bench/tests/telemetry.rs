@@ -10,7 +10,7 @@ use grp_bench::sched::{self, ReplayMode, WorkloadCache};
 use grp_bench::telemetry::registry::{Registry, Snapshot};
 use grp_bench::tracecache::{encode_entry, MissReason, TraceCache};
 use grp_core::{Scheme, SimConfig};
-use grp_cpu::PackedTrace;
+use grp_cpu::{checksum, PackedTrace};
 use grp_workloads::Scale;
 
 /// The deterministic counter families the fleet records: everything
@@ -114,20 +114,11 @@ fn scrape_during_update_is_monotone_and_untorn() {
     assert_eq!(fin.hists["race_micros"].count(), N);
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Rewrites the entry's trailing checksum so an upstream corruption
-/// (magic, version) is the first failure the decoder sees.
+/// Rewrites the entry's trailing checksum so a deliberate edit is the
+/// first failure the decoder sees.
 fn rechecksum(mut bytes: Vec<u8>) -> Vec<u8> {
     let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
+    let sum = checksum(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
@@ -193,7 +184,24 @@ fn tracecache_corruption_classes_count_separately() {
         let id = miss(reason);
         let before = count(&id);
         assert!(load().is_none(), "{reason:?} entry must read as a miss");
-        assert_eq!(count(&id), before + 1, "{reason:?} must count under its own label");
+        assert_eq!(
+            count(&id),
+            before + 1,
+            "{reason:?} must count under its own label"
+        );
     }
+
+    // An entry an older build wrote is stale, not corrupt: the recovery
+    // scan leaves it for the next store and quarantines nothing.
+    let mut old = good.clone();
+    old[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &old).expect("write stale entry");
+    let quarantined = count("grp_tracecache_quarantined_total");
+    let (_, q) = cache
+        .recover(std::time::Duration::ZERO)
+        .expect("recover scan");
+    assert_eq!(q, 0, "a stale entry is not quarantined");
+    assert_eq!(count("grp_tracecache_quarantined_total"), quarantined);
+    assert_eq!(std::fs::read(&path).expect("still there"), old);
     let _ = std::fs::remove_dir_all(&dir);
 }

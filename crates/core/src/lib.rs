@@ -69,8 +69,7 @@ pub use oracle::{
 pub use result::{geomean, RunResult};
 pub use sim::{
     engine_for, replay, run_trace, run_trace_faulted, run_trace_observed,
-    run_trace_observed_faulted, run_trace_packed, run_trace_with_engine,
-    run_trace_with_engine_observed,
+    run_trace_observed_faulted, run_trace_with_engine, run_trace_with_engine_observed,
 };
 #[doc(hidden)]
 pub use sim::replay_injected;

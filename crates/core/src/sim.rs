@@ -1,8 +1,7 @@
 //! The trace-replay simulator: core window + memory system.
 
-use grp_cpu::packed::{PseudoKind, FLAG_STORE, NO_DEP};
-use grp_cpu::{EventStream, PackedTrace, RefId, Trace, TraceEvent, Window};
-use grp_mem::{Addr, HeapRange, Memory, TrafficStats};
+use grp_cpu::{EventStream, Trace, TraceEvent, Window};
+use grp_mem::{HeapRange, Memory, TrafficStats};
 
 use crate::config::{Scheme, SimConfig};
 use crate::engine::region::{RegionConfig, RegionPrefetcher};
@@ -60,109 +59,6 @@ pub fn run_trace(
 ) -> RunResult {
     let engine = engine_for(scheme, cfg);
     run_trace_with_engine(trace, mem, heap, scheme, cfg, engine)
-}
-
-/// Replays a packed trace through the timing model — the fast tier.
-///
-/// The loop streams the packed struct-of-arrays directly: no per-event
-/// enum dispatch, with the rare pseudo-events consulted from the sorted
-/// side table. It reproduces the exact call sequence [`run_trace`] makes
-/// into the window and memory system, so for any trace `t` the result is
-/// bit-identical to `run_trace(&t, ..)` on `PackedTrace::pack(&t)` (the
-/// `packed_replay_matches_materialized` determinism suite enforces this
-/// across every kernel × scheme).
-pub fn run_trace_packed(
-    pt: &PackedTrace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    let mut window = Window::new(cfg.window);
-    let mut ms =
-        MemSystem::with_observer(*cfg, scheme.ideal_mode(), engine, mem, heap, NullObserver);
-    let mut load_completions: Vec<u64> = Vec::with_capacity(pt.loads() as usize);
-    let mut load_latency_sum = 0u64;
-
-    let (addrs, ref_ids, hints, flags, deps, pre_compute) = (
-        pt.addrs(),
-        pt.ref_ids(),
-        pt.hints(),
-        pt.flags(),
-        pt.deps(),
-        pt.pre_compute(),
-    );
-    let pseudos = pt.pseudos();
-    let mut pi = 0usize;
-    let fire_pseudo = |kind: PseudoKind, window: &mut Window, ms: &mut MemSystem<_>| match kind
-    {
-        PseudoKind::Compute(n) => window.dispatch_compute(n as u64),
-        PseudoKind::SetLoopBound(b) => {
-            let d = window.prepare_dispatch(1);
-            ms.set_loop_bound(b);
-            window.push(1, d + 1);
-        }
-        PseudoKind::IndirectPrefetch {
-            base,
-            elem_size,
-            index_addr,
-            ..
-        } => {
-            let d = window.prepare_dispatch(1);
-            ms.indirect_prefetch(base, elem_size, index_addr, d);
-            window.push(1, d + 1);
-        }
-    };
-
-    for i in 0..pt.n_ops() {
-        while pi < pseudos.len() && pseudos[pi].at_op as usize == i {
-            fire_pseudo(pseudos[pi].kind, &mut window, &mut ms);
-            pi += 1;
-        }
-        let pc = pre_compute[i];
-        if pc != 0 {
-            window.dispatch_compute(pc as u64);
-        }
-        let d = window.prepare_dispatch(1);
-        let (addr, ref_id, h) = (Addr(addrs[i]), RefId(ref_ids[i]), hints[i]);
-        if flags[i] & FLAG_STORE != 0 {
-            ms.store(addr, d, ref_id, h);
-            window.push(1, d + 1);
-        } else {
-            let dep = deps[i];
-            let issue = if dep != NO_DEP {
-                d.max(load_completions[dep as usize])
-            } else {
-                d
-            };
-            let done = ms.load(addr, issue, ref_id, h);
-            load_latency_sum += done - issue;
-            load_completions.push(done);
-            window.push(1, done);
-        }
-    }
-    while pi < pseudos.len() {
-        fire_pseudo(pseudos[pi].kind, &mut window, &mut ms);
-        pi += 1;
-    }
-
-    let cycles = window.finish();
-    ms.finish(cycles);
-    RunResult {
-        scheme,
-        cycles,
-        instructions: window.retired(),
-        l1: *ms.l1().stats(),
-        l2: *ms.l2().stats(),
-        traffic: TrafficStats::from_dram(ms.dram().stats()),
-        engine: ms.engine().stats(),
-        prefetches_issued: ms.prefetches_issued(),
-        late_prefetch_merges: ms.l2_mshrs().late_prefetch_merges(),
-        resident_unused_prefetches: ms.l2().resident_unused_prefetches(),
-        attribution: ms.attribution().clone(),
-        load_latency_sum,
-    }
 }
 
 /// Like [`run_trace`], with a caller-supplied engine (ablation studies).
@@ -241,9 +137,10 @@ pub fn run_trace_with_engine_observed<O: Observer>(
 /// [`FaultPlan`] — the superset entry point every wrapper above feeds.
 ///
 /// `events` is any [`EventStream`]: a recorded trace
-/// ([`Trace::stream`]) or a base trace lowered through a scheme's hint
-/// overlay ([`grp_cpu::BaseTrace::lower`]), which replays without ever
-/// being materialized.
+/// ([`Trace::stream`]), a base trace lowered through a scheme's hint
+/// overlay ([`grp_cpu::BaseTrace::lower`]), or a packed trace replayed
+/// in place ([`grp_cpu::PackedTrace::stream`]) — the latter two without
+/// ever being materialized.
 #[allow(clippy::too_many_arguments)]
 pub fn replay<O: Observer, S: EventStream>(
     events: S,
@@ -589,7 +486,17 @@ mod tests {
         let pt = grp_cpu::PackedTrace::pack(&t).expect("pack");
         for scheme in Scheme::ALL {
             let materialized = run_trace(&t, &mem, heap(), scheme, &cfg);
-            let packed = run_trace_packed(&pt, &mem, heap(), scheme, &cfg);
+            let engine = engine_for(scheme, &cfg);
+            let (packed, _) = replay(
+                pt.stream(),
+                &mem,
+                heap(),
+                scheme,
+                &cfg,
+                engine,
+                NullObserver,
+                None,
+            );
             assert_eq!(materialized, packed, "{scheme:?}");
         }
     }

@@ -32,7 +32,7 @@ pub mod window;
 
 pub use hints::HintSet;
 pub use overlay::{BaseTrace, HintOverlay, IndirectSite, Lowered};
-pub use packed::{PackError, PackedFileError, PackedTrace, PreAnalysis};
+pub use packed::{checksum, PackError, PackedFileError, PackedStream, PackedTrace, PreAnalysis};
 pub use stats::TraceStats;
 pub use trace::{EventStream, RefId, Trace, TraceEvent, TraceStream};
 pub use window::{Window, WindowConfig};

@@ -17,15 +17,18 @@
 //!   the timing model is block-granular and never reads sizes;
 //! * a versioned, checksummed binary file format ([`PackedTrace::to_bytes`]
 //!   / [`PackedTrace::from_bytes`]) with delta-encoded addresses, so
-//!   packed traces persist across processes;
+//!   packed traces persist across processes, guarded by the word-wise
+//!   [`checksum`] the trace cache shares;
 //! * a pre-analysis pass ([`PackedTrace::pre_analyze`]) computing
 //!   per-access cache geometry metadata (set index, tag, region id) and
 //!   resolved hint bits ahead of replay.
 //!
-//! The packed replay (`grp-core`) reproduces the materialized replay's
-//! exact call sequence into the window and memory system, so results are
-//! bit-identical; the ordering contract is spelled out on
-//! [`PackedTrace::pack`].
+//! A packed trace replays in place: [`PackedTrace::stream`] is an
+//! [`EventStream`] that yields the original events straight from the
+//! arrays, so `grp-core`'s one replay loop consumes it like any other
+//! stream and results are bit-identical to replaying the materialized
+//! trace. The ordering contract is spelled out on [`PackedTrace::pack`]
+//! and implemented once, by [`PackedStream`].
 
 use std::fmt;
 
@@ -44,8 +47,9 @@ pub const FLAG_DEP: u8 = 1 << 1;
 
 /// File magic for the packed trace format.
 pub const MAGIC: [u8; 4] = *b"GRPT";
-/// Current packed-file format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current packed-file format version (2: the payload is guarded by
+/// [`checksum`]; version 1 used a byte-serial FNV-1a).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header size in bytes: magic, version, five `u64` counters, payload
 /// length, and the payload checksum.
@@ -393,62 +397,26 @@ impl PackedTrace {
         }
     }
 
-    /// Reconstructs the materialized trace. Lossless: the event stream,
-    /// including compute-batch boundaries, dependency edges, hints, and
-    /// pseudo-events, is identical to the packed original's.
-    pub fn unpack(&self) -> Trace {
-        let mut events =
-            Vec::with_capacity(self.addrs.len() + self.pseudos.len() + self.addrs.len() / 2);
-        let mut pi = 0usize;
-        for i in 0..self.addrs.len() {
-            while pi < self.pseudos.len() && self.pseudos[pi].at_op as usize == i {
-                events.push(Self::pseudo_to_event(self.pseudos[pi].kind));
-                pi += 1;
-            }
-            if self.pre_compute[i] != 0 {
-                events.push(TraceEvent::Compute(self.pre_compute[i]));
-            }
-            let flags = self.flags[i];
-            if flags & FLAG_STORE != 0 {
-                events.push(TraceEvent::Store {
-                    addr: Addr(self.addrs[i]),
-                    size: self.sizes[i],
-                    ref_id: RefId(self.ref_ids[i]),
-                    hints: self.hints[i],
-                });
-            } else {
-                events.push(TraceEvent::Load {
-                    addr: Addr(self.addrs[i]),
-                    size: self.sizes[i],
-                    ref_id: RefId(self.ref_ids[i]),
-                    hints: self.hints[i],
-                    dep: (flags & FLAG_DEP != 0).then(|| self.deps[i] as u64),
-                });
-            }
+    /// The packed trace as an [`EventStream`]: the original events,
+    /// yielded in place from the arrays under the ordering contract of
+    /// [`PackedTrace::pack`]. Replaying it is bit-identical to replaying
+    /// the trace it was packed from, with nothing materialized.
+    pub fn stream(&self) -> PackedStream<'_> {
+        PackedStream {
+            pt: self,
+            next_op: 0,
+            next_pseudo: 0,
         }
-        while pi < self.pseudos.len() {
-            events.push(Self::pseudo_to_event(self.pseudos[pi].kind));
-            pi += 1;
-        }
-        Trace::from_raw_parts(events, self.loads, self.stores, self.instructions)
     }
 
-    fn pseudo_to_event(kind: PseudoKind) -> TraceEvent {
-        match kind {
-            PseudoKind::Compute(n) => TraceEvent::Compute(n),
-            PseudoKind::SetLoopBound(b) => TraceEvent::SetLoopBound(b),
-            PseudoKind::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ref_id,
-            } => TraceEvent::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ref_id,
-            },
-        }
+    /// Reconstructs the materialized trace by collecting
+    /// [`PackedTrace::stream`]. Lossless: the event stream, including
+    /// compute-batch boundaries, dependency edges, hints, and
+    /// pseudo-events, is identical to the packed original's.
+    pub fn unpack(&self) -> Trace {
+        let mut events = Vec::with_capacity(self.event_count() as usize);
+        self.stream().for_each_event(|ev| events.push(ev));
+        Trace::from_raw_parts(events, self.loads, self.stores, self.instructions)
     }
 
     /// Runs the pre-analysis pass against the given cache geometries.
@@ -528,7 +496,7 @@ impl PackedTrace {
         out.extend_from_slice(&self.instructions.to_le_bytes());
         out.extend_from_slice(&(self.pseudos.len() as u64).to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -557,7 +525,7 @@ impl PackedTrace {
         let instructions = word(3);
         let n_pseudos = word(4);
         let payload_len = word(5);
-        let checksum = word(6);
+        let want = word(6);
         if loads + stores != n_ops {
             return Err(PackedFileError::Malformed("load/store counts vs ops"));
         }
@@ -571,7 +539,7 @@ impl PackedTrace {
         if (rest.len() as u64) > payload_len {
             return Err(PackedFileError::TrailingBytes);
         }
-        if fnv1a64(rest) != checksum {
+        if checksum(rest) != want {
             return Err(PackedFileError::ChecksumMismatch);
         }
         // Guard the allocations below against absurd declared counts: no
@@ -731,6 +699,110 @@ impl PackedTrace {
     }
 }
 
+/// [`PackedTrace::stream`]: a packed trace's events, yielded in place.
+#[derive(Debug, Clone)]
+pub struct PackedStream<'a> {
+    pt: &'a PackedTrace,
+    next_op: usize,
+    next_pseudo: usize,
+}
+
+impl EventStream for PackedStream<'_> {
+    fn loads(&self) -> u64 {
+        self.pt.loads
+    }
+
+    fn stores(&self) -> u64 {
+        self.pt.stores
+    }
+
+    #[inline]
+    fn for_each_event<F: FnMut(TraceEvent)>(&mut self, mut f: F) {
+        let pt = self.pt;
+        let n = pt.addrs.len();
+        // Equal-length reslices let the loop below index without
+        // per-array bounds checks.
+        let (addrs, ref_ids, hints) = (&pt.addrs[..n], &pt.ref_ids[..n], &pt.hints[..n]);
+        let (flags, deps, pre_compute, sizes) = (
+            &pt.flags[..n],
+            &pt.deps[..n],
+            &pt.pre_compute[..n],
+            &pt.sizes[..n],
+        );
+        let pseudos = &pt.pseudos[..];
+        let at = |pi: usize| pseudos.get(pi).map_or(usize::MAX, |p| p.at_op as usize);
+        let (mut i, mut pi) = (self.next_op, self.next_pseudo);
+        let mut next_pseudo_at = at(pi);
+        // Whether memop `i`'s folded compute batch has fired.
+        let mut computed = false;
+        // One call site for `f`, so the replay loop's whole per-event
+        // body inlines here exactly as it does over a recorded trace.
+        loop {
+            let ev = if next_pseudo_at == i {
+                // (1) side-table events at this op (or the tail), in
+                // table order.
+                let kind = pseudos[pi].kind;
+                pi += 1;
+                next_pseudo_at = at(pi);
+                kind.event()
+            } else if i == n {
+                break;
+            } else if !computed && pre_compute[i] != 0 {
+                // (2) the folded compute batch.
+                computed = true;
+                TraceEvent::Compute(pre_compute[i])
+            } else {
+                // (3) the memop itself.
+                let (addr, size, ref_id, hints) =
+                    (Addr(addrs[i]), sizes[i], RefId(ref_ids[i]), hints[i]);
+                let ev = if flags[i] & FLAG_STORE != 0 {
+                    TraceEvent::Store {
+                        addr,
+                        size,
+                        ref_id,
+                        hints,
+                    }
+                } else {
+                    let dep = (flags[i] & FLAG_DEP != 0).then_some(deps[i] as u64);
+                    TraceEvent::Load {
+                        addr,
+                        size,
+                        ref_id,
+                        hints,
+                        dep,
+                    }
+                };
+                computed = false;
+                i += 1;
+                ev
+            };
+            f(ev);
+        }
+        self.next_op = n;
+        self.next_pseudo = pseudos.len();
+    }
+}
+
+impl PseudoKind {
+    fn event(self) -> TraceEvent {
+        match self {
+            PseudoKind::Compute(n) => TraceEvent::Compute(n),
+            PseudoKind::SetLoopBound(b) => TraceEvent::SetLoopBound(b),
+            PseudoKind::IndirectPrefetch {
+                base,
+                elem_size,
+                index_addr,
+                ref_id,
+            } => TraceEvent::IndirectPrefetch {
+                base,
+                elem_size,
+                index_addr,
+                ref_id,
+            },
+        }
+    }
+}
+
 /// Per-access metadata precomputed ahead of replay: cache geometry
 /// projections of every memop address plus resolved hint bits. The
 /// arrays parallel the hot arrays of the [`PackedTrace`] they were
@@ -834,15 +906,52 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// FNV-1a 64-bit, the payload checksum (in-tree; the workspace is
-/// hermetic, no external hash crates).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+/// The checksum of the GRPT payload and of whole trace-cache entries.
+///
+/// The input is read as 8-byte little-endian words dealt round-robin to
+/// four independent lanes, each updated by the xxHash64 round
+/// `lane = rotl(lane + w * P2, 31) * P1`; the zero-padded sub-word tail
+/// is one more word. The lanes then fold, one round each, into a state
+/// seeded with the input length, which a final xor-shift/multiply
+/// avalanche mixes. Every step is a bijection of its lane (for a fixed
+/// word) and of its word (for a fixed lane), and every fold a bijection
+/// of the lane it absorbs, so a single changed byte always changes the
+/// sum. The four lanes keep four multiply chains in flight, which is
+/// what makes this several times faster than a byte-serial hash on
+/// multi-megabyte entries.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    let round = |lane: u64, w: u64| {
+        lane.wrapping_add(w.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let word = |b: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
     }
-    h
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = round(*lane, word(w));
+    }
+    let mut h = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        h = round(h, lane);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -950,81 +1059,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_edge_shapes() {
-        // Empty trace.
-        let mut t = Trace::new();
-        t.finish();
-        let pt = PackedTrace::pack(&t).unwrap();
-        assert_traces_identical(&t, &pt.unpack());
-        assert_traces_identical(
-            &t,
-            &PackedTrace::from_bytes(&pt.to_bytes()).unwrap().unpack(),
-        );
+    /// Hand-built shapes at the packing boundaries: empty; pseudo-events
+    /// only; a compute overflow chain; a compute before and after a
+    /// pseudo-event ahead of the first memop.
+    fn edge_shapes() -> [Trace; 5] {
+        let mut empty = Trace::new();
+        empty.finish();
 
         // Pure pseudo-events, no memops: everything lands in the tail.
-        let mut t = Trace::new();
-        t.push_compute(5);
-        t.push_set_loop_bound(9);
-        t.push_compute(3);
-        t.push_indirect_prefetch(Addr(0x1000), 4, Addr(0x2000), RefId(7));
-        t.finish();
-        let pt = PackedTrace::pack(&t).unwrap();
-        assert_eq!(pt.n_ops(), 0);
-        assert_eq!(pt.pseudos().len(), 4);
-        assert_traces_identical(&t, &pt.unpack());
-        assert_traces_identical(
-            &t,
-            &PackedTrace::from_bytes(&pt.to_bytes()).unwrap().unpack(),
-        );
+        let mut pseudo_only = Trace::new();
+        pseudo_only.push_compute(5);
+        pseudo_only.push_set_loop_bound(9);
+        pseudo_only.push_compute(3);
+        pseudo_only.push_indirect_prefetch(Addr(0x1000), 4, Addr(0x2000), RefId(7));
+        pseudo_only.finish();
 
         // Compute overflow chain: two adjacent Compute events (the
-        // push_compute boundary flush) — the first must survive as a
-        // side-table entry, the second folds into pre_compute.
-        let mut t = Trace::new();
-        t.push_compute(u32::MAX - 1);
-        t.push_compute(10);
-        t.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
-        t.finish();
-        assert_eq!(t.events().len(), 3, "boundary flush splits the batch");
-        let pt = PackedTrace::pack(&t).unwrap();
+        // push_compute boundary flush).
+        let mut overflow = Trace::new();
+        overflow.push_compute(u32::MAX - 1);
+        overflow.push_compute(10);
+        overflow.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
+        overflow.finish();
+
+        let mut compute_first = Trace::new();
+        compute_first.push_compute(5);
+        compute_first.push_set_loop_bound(100);
+        compute_first.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
+        compute_first.finish();
+
+        let mut compute_last = Trace::new();
+        compute_last.push_set_loop_bound(100);
+        compute_last.push_compute(5);
+        compute_last.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
+        compute_last.finish();
+
+        [empty, pseudo_only, overflow, compute_first, compute_last]
+    }
+
+    #[test]
+    fn round_trip_edge_shapes() {
+        let shapes = edge_shapes();
+        for t in &shapes {
+            let pt = PackedTrace::pack(t).unwrap();
+            assert_traces_identical(t, &pt.unpack());
+            assert_traces_identical(
+                t,
+                &PackedTrace::from_bytes(&pt.to_bytes()).unwrap().unpack(),
+            );
+        }
+
+        let pt = PackedTrace::pack(&shapes[1]).unwrap();
+        assert_eq!(pt.n_ops(), 0);
+        assert_eq!(pt.pseudos().len(), 4);
+
+        // The overflow chain's first batch must survive as a side-table
+        // entry, the second folds into pre_compute.
+        assert_eq!(
+            shapes[2].events().len(),
+            3,
+            "boundary flush splits the batch"
+        );
+        let pt = PackedTrace::pack(&shapes[2]).unwrap();
         assert_eq!(pt.pseudos().len(), 1);
         assert!(matches!(pt.pseudos()[0].kind, PseudoKind::Compute(_)));
-        assert_eq!(pt.pre_compute()[0], 9, "10 minus the 1 that fit before the flush");
-        assert_traces_identical(&t, &pt.unpack());
-        assert_traces_identical(
-            &t,
-            &PackedTrace::from_bytes(&pt.to_bytes()).unwrap().unpack(),
+        assert_eq!(
+            pt.pre_compute()[0],
+            9,
+            "10 minus the 1 that fit before the flush"
         );
     }
 
     #[test]
     fn fold_order_preserves_event_sequence() {
+        let shapes = edge_shapes();
         // Gap [Compute, SetLoopBound]: the compute precedes the pseudo,
         // so it must NOT fold into pre_compute (which fires after the
         // side table).
-        let mut t = Trace::new();
-        t.push_compute(5);
-        t.push_set_loop_bound(100);
-        t.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
-        t.finish();
-        let pt = PackedTrace::pack(&t).unwrap();
+        let pt = PackedTrace::pack(&shapes[3]).unwrap();
         assert_eq!(pt.pseudos().len(), 2);
         assert_eq!(pt.pseudos()[0].kind, PseudoKind::Compute(5));
         assert_eq!(pt.pseudos()[1].kind, PseudoKind::SetLoopBound(100));
         assert_eq!(pt.pre_compute()[0], 0);
-        assert_traces_identical(&t, &pt.unpack());
+        assert_traces_identical(&shapes[3], &pt.unpack());
 
         // Gap [SetLoopBound, Compute]: the compute is last — folds.
-        let mut t = Trace::new();
-        t.push_set_loop_bound(100);
-        t.push_compute(5);
-        t.push_load(Addr(0x40), 8, RefId(0), HintSet::none(), None);
-        t.finish();
-        let pt = PackedTrace::pack(&t).unwrap();
+        let pt = PackedTrace::pack(&shapes[4]).unwrap();
         assert_eq!(pt.pseudos().len(), 1);
         assert_eq!(pt.pre_compute()[0], 5);
-        assert_traces_identical(&t, &pt.unpack());
+        assert_traces_identical(&shapes[4], &pt.unpack());
+    }
+
+    /// Drains `pt.stream()`, checking its up-front counts and that a
+    /// drained stream yields nothing more.
+    fn streamed(pt: &PackedTrace) -> Vec<TraceEvent> {
+        let mut s = pt.stream();
+        assert_eq!((s.loads(), s.stores()), (pt.loads(), pt.stores()));
+        let mut out = Vec::new();
+        s.for_each_event(|ev| out.push(ev));
+        s.for_each_event(|ev| panic!("drained stream yielded {ev:?}"));
+        out
+    }
+
+    #[test]
+    fn stream_yields_exactly_the_original_events() {
+        let random = (1..=20u64).map(|seed| random_trace(seed * 0x9e37_79b9, 400));
+        for t in random.chain(edge_shapes()) {
+            let pt = PackedTrace::pack(&t).unwrap();
+            assert_eq!(streamed(&pt), t.events());
+            let decoded = PackedTrace::from_bytes(&pt.to_bytes()).unwrap();
+            assert_eq!(streamed(&decoded), t.events(), "after a disk round trip");
+        }
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip_at_every_length() {
+        let mut rng = Rng(0x5eed_c4ec);
+        // Lengths 0..=80 cover empty input, every sub-word tail, a
+        // partial lane round, and more than two full 32-byte blocks.
+        for len in 0..=80usize {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            let sum = checksum(&bytes);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    let mut b = bytes.clone();
+                    b[pos] ^= 1 << bit;
+                    assert_ne!(checksum(&b), sum, "len {len}: flip of byte {pos} bit {bit}");
+                }
+            }
+            // The length is mixed in: a trailing zero byte is seen.
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(checksum(&longer), sum, "len {len}: appended zero");
+        }
+    }
+
+    #[test]
+    fn checksum_values_are_pinned() {
+        // Entries on disk depend on these exact values: changing the
+        // function means bumping both the GRPT and GRPC versions.
+        let counting: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(
+            [checksum(b""), checksum(b"GRPT"), checksum(&counting)],
+            [
+                0x5374_8300_ccd7_2d2b,
+                0x2f23_f8f6_39ac_8faf,
+                0xd79e_26fb_1bfb_cbbe
+            ]
+        );
     }
 
     #[test]

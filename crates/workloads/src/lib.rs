@@ -31,9 +31,7 @@
 pub mod kernels;
 
 use grp_compiler::{analyze, AnalysisConfig};
-use grp_core::{
-    engine_for, replay, run_trace_packed, NullObserver, Observer, RunResult, Scheme, SimConfig,
-};
+use grp_core::{engine_for, replay, NullObserver, Observer, RunResult, Scheme, SimConfig};
 use grp_cpu::{BaseTrace, HintOverlay, PackedTrace, Trace};
 use grp_ir::interp::Interpreter;
 use grp_ir::{Bindings, HintMap, LoopId, Program};
@@ -210,9 +208,9 @@ impl BuiltWorkload {
         self.replay(&self.interpret(), scheme, cfg, NullObserver).0
     }
 
-    /// Like [`BuiltWorkload::run`] on the packed replay tier: the
-    /// lowered trace is packed to the struct-of-arrays form and replayed
-    /// without per-event enum dispatch. Bit-identical to
+    /// Like [`BuiltWorkload::run`] on the packed tier: the lowered trace
+    /// is packed to the struct-of-arrays form and replayed in place
+    /// through [`PackedTrace::stream`]. Bit-identical to
     /// [`BuiltWorkload::run`].
     ///
     /// # Panics
@@ -223,7 +221,18 @@ impl BuiltWorkload {
         let base = self.interpret();
         let pt = PackedTrace::pack_stream(base.trace.lower(&self.scheme_overlay(scheme)))
             .unwrap_or_else(|e| panic!("workload {} trace: {e}", self.program.name));
-        run_trace_packed(&pt, &base.memory, self.heap, scheme, cfg)
+        let engine = engine_for(scheme, cfg);
+        replay(
+            pt.stream(),
+            &base.memory,
+            self.heap,
+            scheme,
+            cfg,
+            engine,
+            NullObserver,
+            None,
+        )
+        .0
     }
 
     /// Like [`BuiltWorkload::run`], threading an observer through the

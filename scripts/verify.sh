@@ -132,6 +132,29 @@ printf '%s\n' \
         --scale test --jobs 2 --selfcheck > "$SERVE_TMP" 2> /dev/null
 cargo run --release -q --offline -p grp-bench --bin serve -- --check-replies "$SERVE_TMP"
 
+echo "== serve warm-cache gate: trace-cache hit replies match the serial path =="
+# The same batch twice over one trace cache: the cold pass interprets,
+# packs and stores every entry; the warm pass answers every job from a
+# cache hit, replayed in place. --selfcheck fails either pass on any
+# bit-difference from the serial path, and the warm pass's metrics
+# must show a hit for every job.
+for pass in cold warm; do
+    printf '%s\n' \
+        '{"kernel":"gzip","scheme":"SRP","id":1}' \
+        '{"kernel":"mcf","scheme":"none","id":2}' \
+        '{"kernel":"gzip","scheme":"GRP/Var","id":3}' \
+        | cargo run --release -q --offline -p grp-bench --bin serve -- \
+            --scale test --jobs 2 --trace-cache "$TRACE_TMP/serve_tc" --selfcheck \
+            --metrics-out "$TRACE_TMP/serve_tc_$pass.prom" \
+            > "$TRACE_TMP/serve_tc_$pass.replies" 2> /dev/null
+    cargo run --release -q --offline -p grp-bench --bin serve -- \
+        --check-replies "$TRACE_TMP/serve_tc_$pass.replies"
+done
+grep -qx 'grp_tracecache_hits_total 3' "$TRACE_TMP/serve_tc_warm.prom" || {
+    echo "ERROR: the warm serve pass did not answer every job from the cache" >&2
+    exit 1
+}
+
 echo "== serve gate has teeth: a bad request must be a flagged reply =="
 if printf '{"kernel":"gzip","scheme":"not-a-scheme","id":1}\n' \
     | cargo run --release -q --offline -p grp-bench --bin serve -- \
