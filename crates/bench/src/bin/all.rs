@@ -10,10 +10,9 @@
 //! `--metrics-out <prefix>` writes `<prefix>-<bench>.metrics.json`;
 //! `--epoch N` sets the sampling interval (default 4096 events).
 //!
-//! Replay tier: `--packed` replays every cell through the packed
-//! struct-of-arrays tier, and `--trace-cache <dir>` persists packed
-//! pre-interpreted traces so a re-run (or another binary) skips
-//! build + interpretation. Results are bit-identical either way.
+//! Trace cache: `--trace-cache <dir>` persists packed pre-interpreted
+//! traces so a re-run (or another binary) skips build +
+//! interpretation. Results are bit-identical either way.
 //!
 //! Harness telemetry: the cell scheduler records into the
 //! process-global registry (`grp_fleet_*`, `grp_replay_*`, `grp_sim_*`,

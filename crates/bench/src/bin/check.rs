@@ -39,7 +39,7 @@
 //! cargo run --release -p grp-bench --bin check -- \
 //!     [--cases N] [--seed S] [--scale test|small|paper] [--faults] \
 //!     [--max-cycles N] [--inject none|mru-evict|unbounded-queue|drop-leak] \
-//!     [--packed] [--trace-cache <dir>]
+//!     [--trace-cache <dir>]
 //! cargo run -p grp-bench --bin check -- --metrics <path> \
 //!     [--metrics-prev <path>] [--metrics-require <fam1,fam2,…>]
 //!     re-parse and validate a Prometheus text exposition written by
@@ -57,11 +57,12 @@
 //!     torn publishes so CI can prove the gate still has teeth
 //! ```
 //!
-//! `--packed` prepends **phase 0**: every registry kernel × every
-//! scheme is replayed through both the materialized path and the
-//! packed struct-of-arrays tier (optionally through `--trace-cache`),
-//! asserting bit-identical `RunResult`s — the cross-tier determinism
-//! gate at the chosen scale.
+//! `--trace-cache <dir>` prepends **phase 0**, the cache-vs-lowered
+//! identity gate: every registry kernel × every scheme runs through
+//! the trace cache twice, first filling it and then warm, where every
+//! cell must hit and replay the loaded packed trace in place. Both
+//! passes must produce `RunResult`s bit-identical to replaying the
+//! lowered stream at the chosen scale.
 //!
 //! `--inject` plants a deliberate bug (an evict-MRU replacement fault,
 //! an unbounded engine queue, or a dropped-fill MSHR leak) so CI can
@@ -74,9 +75,8 @@ use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
 use grp_bench::suite::parse_scale_args;
 use grp_bench::telemetry::{self, exposition, log, TelemetryObserver};
 use grp_core::{
-    differential_check, differential_check_faulted, engine_for, replay_injected, run_trace,
-    run_trace_faulted, run_trace_observed_faulted, FaultPlan, InvariantObserver, OracleFault,
-    Scheme, SimConfig,
+    differential_check, differential_check_faulted, engine_for, replay, replay_injected,
+    run_trace, FaultPlan, InvariantObserver, NullObserver, OracleFault, Scheme, SimConfig,
 };
 use grp_testkit::proptest::{any, greedy_shrink};
 use grp_testkit::proptest::Arbitrary;
@@ -403,61 +403,82 @@ fn main() {
         faults = true;
     }
 
-    let replay = grp_bench::args::parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
+    let mode = grp_bench::args::parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
 
     let cfg = SimConfig::paper();
     let mut failures = 0u64;
 
-    // Phase 0 (--packed): packed-vs-materialized identity over the
-    // full kernel × scheme grid, through the trace cache when one is
-    // configured — any diverging counter of any cell fails the gate.
-    if replay.packed {
+    // Phase 0 (--trace-cache): cache-vs-lowered identity over the full
+    // kernel × scheme grid. Every cell goes through the trace cache
+    // twice: a first pass that fills it, then a warm pass in which every
+    // cell must hit and replay the loaded packed stream. Both passes
+    // must equal the lowered replay on the shared base — any diverging
+    // counter of any cell, or a warm miss, fails the gate.
+    if let Some(tc) = &mode.trace_cache {
         let names: Vec<&'static str> = grp_workloads::all().iter().map(|w| w.name).collect();
         println!(
-            "phase 0: packed identity on {} kernels x {} schemes ({:?} scale{})",
+            "phase 0: trace-cache identity on {} kernels x {} schemes, cold then warm \
+             ({:?} scale, cache {})",
             names.len(),
             Scheme::ALL.len(),
             scale,
-            if replay.trace_cache.is_some() { ", via trace cache" } else { "" }
+            tc.dir().display()
         );
         let cache = grp_bench::sched::WorkloadCache::new();
         for name in &names {
             let mut bad = 0u64;
-            // One interpretation per kernel, shared by both tiers of
-            // every scheme.
+            // One interpretation per kernel: the reference replays and
+            // every cold-pass miss share it.
             let base = std::sync::Arc::new(
                 grp_bench::sched::KernelBase::load(&cache, name, scale.workload_scale())
                     .expect("registered"),
             );
-            for scheme in Scheme::ALL {
-                let want = base
-                    .built
-                    .replay(&base.interpreted, scheme, &cfg, grp_core::NullObserver)
-                    .0;
-                let got = grp_bench::sched::run_cell(
-                    name,
-                    scale.workload_scale(),
-                    scheme,
-                    &cfg,
-                    &replay,
-                    || Ok(base.clone()),
-                );
-                match got {
-                    Ok((got, _, _, _)) if got == want => {}
-                    Ok(_) => {
-                        failures += 1;
-                        bad += 1;
-                        println!("  {name}/{}: DIVERGED (packed != materialized)", scheme.label());
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        bad += 1;
-                        println!("  {name}/{}: ERROR: {e}", scheme.label());
+            let wants: Vec<_> = Scheme::ALL
+                .iter()
+                .map(|&scheme| {
+                    base.built
+                        .replay(&base.interpreted, scheme, &cfg, NullObserver)
+                        .0
+                })
+                .collect();
+            for warm in [false, true] {
+                let pass = if warm { "warm" } else { "cold" };
+                for (scheme, want) in Scheme::ALL.into_iter().zip(&wants) {
+                    let got = grp_bench::sched::run_cell(
+                        name,
+                        scale.workload_scale(),
+                        scheme,
+                        &cfg,
+                        &mode,
+                        || {
+                            if warm {
+                                Err("warm pass missed the trace cache".to_string())
+                            } else {
+                                Ok(base.clone())
+                            }
+                        },
+                    );
+                    let label = scheme.label();
+                    match got {
+                        Ok((got, _, _, _)) if got == *want => {}
+                        Ok(_) => {
+                            failures += 1;
+                            bad += 1;
+                            println!("  {name}/{label} ({pass}): DIVERGED (cache != lowered)");
+                        }
+                        Err(e) => {
+                            failures += 1;
+                            bad += 1;
+                            println!("  {name}/{label} ({pass}): ERROR: {e}");
+                        }
                     }
                 }
             }
             if bad == 0 {
-                println!("  {name}: OK ({} schemes identical)", Scheme::ALL.len());
+                println!(
+                    "  {name}: OK ({} schemes identical, cold and warm)",
+                    Scheme::ALL.len()
+                );
             }
         }
     }
@@ -532,14 +553,17 @@ fn main() {
         let workout = fault_workout_case();
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let plain = run_trace(&workout.trace, &workout.mem, workout.heap, scheme, &cfg);
-            let idle = run_trace_faulted(
-                &workout.trace,
+            let idle = replay(
+                workout.trace.stream(),
                 &workout.mem,
                 workout.heap,
                 scheme,
                 &cfg,
-                &FaultPlan::none(),
-            );
+                engine_for(scheme, &cfg),
+                NullObserver,
+                Some(&FaultPlan::none()),
+            )
+            .0;
             if plain != idle {
                 failures += 1;
                 println!("  zero-fault identity under {scheme:?}: FAILED (results differ)");
@@ -554,14 +578,15 @@ fn main() {
         let fault_shard = fault_reg.shard();
         for (name, plan) in &builtins {
             let obs = TelemetryObserver::new(&fault_shard);
-            let _ = run_trace_observed_faulted(
-                &workout.trace,
+            let _ = replay(
+                workout.trace.stream(),
                 &workout.mem,
                 workout.heap,
                 Scheme::GrpVar,
                 &cfg,
+                engine_for(Scheme::GrpVar, &cfg),
                 obs,
-                plan,
+                Some(plan),
             );
             match check_faulted_case(&workout, Some(plan), &cfg, inject, max_cycles) {
                 Ok(()) => println!("  builtin '{name}': OK"),

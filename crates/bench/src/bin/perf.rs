@@ -9,9 +9,6 @@
 //!     [--out <path>]        trajectory file (default BENCH_perf.json)
 //!     [--schemes <csv>]     scheme labels (default none,stride,SRP,GRP/Var)
 //!     [--no-write]          print the table, skip the JSON append
-//!     [--packed]            replay through the packed struct-of-arrays
-//!                           tier (bit-identical results; entry gains
-//!                           "replay_tier": "packed")
 //!     [--trace-cache <dir>] persist/reuse packed pre-interpreted
 //!                           traces across processes (setup, not replay)
 //!     [--profile]           enable the phase profiler: print a
@@ -159,10 +156,9 @@ fn main() {
     }
 
     println!(
-        "GRP perf harness — {:?} scale, {} {} replay, schemes: {}",
+        "GRP perf harness — {:?} scale, {}, schemes: {}",
         scale,
-        if fleet { "fleet mode," } else { "serial," },
-        if mode.packed { "packed" } else { "materialized" },
+        if fleet { "fleet mode" } else { "serial" },
         schemes.iter().map(|s| s.label()).collect::<Vec<_>>().join(", ")
     );
     println!(
@@ -171,15 +167,11 @@ fn main() {
         if fleet { "   w" } else { "" }
     );
 
-    let entry = if fleet {
+    let mut entry = if fleet {
         run_fleet(scale, &label, &schemes, &mode, &args)
     } else {
         run_serial(scale, &label, &schemes, &mode)
     };
-    let mut entry = entry.set(
-        "replay_tier",
-        if mode.packed { "packed" } else { "materialized" },
-    );
 
     if profile {
         let wall = wall_start.elapsed().as_secs_f64();
@@ -233,9 +225,9 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
 /// The original single-thread harness: build → interpret → timed
 /// replay, one cell at a time, on the calling thread, through
 /// [`sched::run_cell`]. Each kernel interprets once and its schemes
-/// share that base; hint derivation, packing (or a cache hit) count as
-/// setup, and the replay column times the replay loop alone in both
-/// tiers.
+/// share that base; hint derivation, packing for the trace cache (or a
+/// cache hit) count as setup, and the replay column times the replay
+/// loop alone.
 fn run_serial(
     scale: grp_bench::SuiteScale,
     label: &str,
@@ -337,7 +329,7 @@ fn run_fleet(
 
     let mut rows: Vec<KernelRow> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let stats = sched::run_cells_mode(&jobs, workers, &cache, mode, |cell| {
+    let stats = sched::run_cells_ctl(&jobs, workers, &cache, mode, None, |cell| {
         match &cell.outcome {
             Ok(r) => {
                 let row = KernelRow {

@@ -11,15 +11,12 @@
 //! ```text
 //! cargo run --release -p grp-bench --bin serve -- [--scale test|small|paper]
 //!     [--jobs N]            worker count (default: available parallelism)
-//!     [--packed]            pack each cell's trace and replay it in
-//!                           place; trace-cache hits always replay in
-//!                           place, so this only changes misses and
-//!                           cache-less runs (bit-identical;
-//!                           --selfcheck replays the lowered stream and
-//!                           so doubles as a per-reply packed-identity
-//!                           gate)
 //!     [--trace-cache <dir>] reuse packed pre-interpreted traces
-//!                           across batches, connections, and processes
+//!                           across batches, connections, and processes;
+//!                           hits replay the packed trace in place
+//!                           (bit-identical; --selfcheck replays the
+//!                           lowered stream and so doubles as a
+//!                           per-reply packed-identity gate)
 //!     [--socket <path>]     accept connections on a unix socket instead
 //!                           of stdin (one client at a time)
 //!     [--once]              with --socket: exit after the first client

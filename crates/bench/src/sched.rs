@@ -49,22 +49,16 @@ use grp_workloads::{BuiltWorkload, Interpreted, Scale};
 use crate::telemetry::registry::{Registry, Shard};
 use crate::tracecache::TraceCache;
 
-/// How cells replay. Every replay goes through the one
-/// [`grp_core::replay`] loop; the knobs only pick the stream it reads:
-/// the kernel base lowered through the scheme's overlay (default), that
-/// stream packed to a [`PackedTrace`] first and replayed in place
-/// (`--packed`), and optionally a cross-process [`TraceCache`] of
-/// packed, pre-interpreted traces (`--trace-cache <dir>`), whose hits
-/// always replay the packed stream. Both knobs are observationally
-/// pure: per-cell `RunResult`s are bit-identical across all four
-/// combinations (enforced by `tests/packed_identity.rs` and the
-/// scheduler determinism tests).
+/// Where cells get their traces. Every replay goes through the one
+/// [`grp_core::replay`] loop over the kernel base lowered through the
+/// scheme's hint overlay, unless a cross-process [`TraceCache`] of
+/// packed, pre-interpreted traces (`--trace-cache <dir>`) has the cell:
+/// a hit replays the loaded [`PackedTrace::stream`] in place. The cache
+/// is observationally pure: per-cell `RunResult`s are bit-identical
+/// with and without it, cold or warm (enforced by
+/// `tests/trace_cache_identity.rs` and the scheduler tests).
 #[derive(Debug, Clone, Default)]
 pub struct ReplayMode {
-    /// On a trace-cache miss or with no cache, pack the lowered stream
-    /// and replay [`PackedTrace::stream`] instead of the lowered stream
-    /// itself. Cache hits replay the packed stream either way.
-    pub packed: bool,
     /// Persist and reuse packed traces + memory images across
     /// processes. A cache hit skips build + interpretation + hint
     /// derivation entirely; stale or corrupt entries read as misses
@@ -78,12 +72,6 @@ pub struct ReplayMode {
 }
 
 impl ReplayMode {
-    /// True when this mode is the plain materialized path with no
-    /// cache and no metrics — the zero-overhead default.
-    pub fn is_default(&self) -> bool {
-        !self.packed && self.trace_cache.is_none() && self.telemetry.is_none()
-    }
-
     /// This mode with fleet metrics recorded into `reg`.
     pub fn with_telemetry(mut self, reg: Arc<Registry>) -> Self {
         self.telemetry = Some(reg);
@@ -389,25 +377,15 @@ pub fn run_cells<F: FnMut(CellResult)>(
     cache: &WorkloadCache,
     on_complete: F,
 ) -> FleetStats {
-    run_cells_mode(jobs, workers, cache, &ReplayMode::default(), on_complete)
+    let mode = ReplayMode::default();
+    run_cells_ctl(jobs, workers, cache, &mode, None, on_complete)
 }
 
-/// [`run_cells`] under an explicit [`ReplayMode`] (packed tier and/or
-/// trace cache). Per-cell results are bit-identical to the default
-/// mode; only setup/replay timing shifts.
-pub fn run_cells_mode<F: FnMut(CellResult)>(
-    jobs: &[CellJob],
-    workers: usize,
-    cache: &WorkloadCache,
-    mode: &ReplayMode,
-    on_complete: F,
-) -> FleetStats {
-    run_cells_ctl(jobs, workers, cache, mode, None, on_complete)
-}
-
-/// [`run_cells_mode`] with an optional per-batch [`BatchCtl`]: at cell
-/// pickup a cancelled batch fails the cell with [`CANCELLED`] and an
-/// expired [`CellJob::deadline`] fails it with a
+/// [`run_cells`] under an explicit [`ReplayMode`] (trace cache and/or
+/// telemetry) and an optional per-batch [`BatchCtl`]. Per-cell results
+/// are bit-identical to the default mode. At cell pickup a cancelled
+/// batch fails the cell with [`CANCELLED`] and an expired
+/// [`CellJob::deadline`] fails it with a
 /// [`DEADLINE_EXCEEDED`]-prefixed error — in both cases the cell is
 /// skipped (never simulated) but still streamed to `on_complete`, so
 /// every job gets exactly one reply and a batch can never hang or lose
@@ -739,16 +717,14 @@ fn record_cell(
 /// cache when one is configured. `get_base` supplies the kernel's
 /// interpreted base and is only invoked on a cache miss — a hit skips
 /// the build, interpretation, and hint derivation entirely, and replays
-/// the loaded packed trace in place ([`PackedTrace::stream`]) whatever
-/// `mode.packed` says, never unpacking it. On a miss the base is
-/// lowered through the scheme's hint overlay and streamed into the
-/// replay loop (under `--packed` / a trace cache it is also packed
-/// straight from that stream, and `--packed` replays the packed
-/// stream); no per-scheme trace is materialized.
+/// the loaded packed trace in place ([`PackedTrace::stream`]), never
+/// unpacking it. On a miss, or with no cache, the base is lowered
+/// through the scheme's hint overlay and streamed into the replay loop;
+/// no per-scheme trace is materialized. A miss also packs the lowered
+/// stream, only to store it as the cell's cache entry.
 ///
 /// Returns `(result, events, setup_seconds, replay_seconds)`; `events`
-/// counts the scheme's lowered trace events in both tiers so packed
-/// rows stay comparable.
+/// counts the scheme's lowered trace events on both paths.
 ///
 /// # Errors
 ///
@@ -790,21 +766,16 @@ pub fn run_cell(
         let _s = prof.span_cell("hints", kernel, &slabel);
         built.scheme_overlay(scheme)
     };
-    let lowered = || base.interpreted.trace.lower(&overlay);
-    let pt = if mode.packed || mode.trace_cache.is_some() {
-        let _s = prof.span_cell("pack", kernel, &slabel);
-        Some(
-            PackedTrace::pack_stream(lowered())
-                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?,
-        )
-    } else {
-        None
-    };
-    if let (Some(cache), Some(pt)) = (&mode.trace_cache, &pt) {
+    if let Some(cache) = &mode.trace_cache {
+        let pt = {
+            let _s = prof.span_cell("pack", kernel, &slabel);
+            PackedTrace::pack_stream(base.interpreted.trace.lower(&overlay))
+                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?
+        };
         // Best-effort: a full disk must degrade to "no cache", not
         // fail the cell.
         let _s = prof.span_cell("cache_store", kernel, &slabel);
-        if let Err(e) = cache.store(kernel, scale, cc.as_ref(), pt, mem, built.heap) {
+        if let Err(e) = cache.store(kernel, scale, cc.as_ref(), &pt, mem, built.heap) {
             crate::telemetry::log::log_kv(
                 crate::telemetry::log::Level::Warn,
                 "sched",
@@ -816,18 +787,9 @@ pub fn run_cell(
     let setup_seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let _s = prof.span_cell("replay", kernel, &slabel);
-    let (result, events) = match &pt {
-        Some(pt) if mode.packed => (
-            replay_stream(pt.stream(), mem, built.heap, scheme, cfg),
-            pt.event_count(),
-        ),
-        _ => {
-            let mut stream = lowered();
-            let r = replay_stream(&mut stream, mem, built.heap, scheme, cfg);
-            (r, stream.emitted())
-        }
-    };
-    Ok((result, events, setup_seconds, t1.elapsed().as_secs_f64()))
+    let mut stream = base.interpreted.trace.lower(&overlay);
+    let result = replay_stream(&mut stream, mem, built.heap, scheme, cfg);
+    Ok((result, stream.emitted(), setup_seconds, t1.elapsed().as_secs_f64()))
 }
 
 /// One unobserved, unfaulted replay of `events` under `scheme`.
@@ -994,7 +956,7 @@ mod tests {
         let interpretations = std::cell::Cell::new(0);
         let collect = |mode: &ReplayMode, cache: &WorkloadCache| {
             let mut out: Vec<(u64, RunResult)> = Vec::new();
-            let stats = run_cells_mode(&jobs, 2, cache, mode, |r| {
+            let stats = run_cells_ctl(&jobs, 2, cache, mode, None, |r| {
                 out.push((r.id, r.outcome.expect("cell ok")));
             });
             assert_eq!(stats.errors, 0);
@@ -1008,15 +970,23 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("grp-sched-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tc = Arc::new(TraceCache::new(&dir));
-        let packed = ReplayMode { packed: true, trace_cache: None, telemetry: None };
-        let cached = ReplayMode { packed: false, trace_cache: Some(tc.clone()), telemetry: None };
-        let both = ReplayMode { packed: true, trace_cache: Some(tc.clone()), telemetry: None };
-        assert_eq!(collect(&packed, &WorkloadCache::new()), baseline, "packed tier diverged");
-        assert_eq!(collect(&cached, &WorkloadCache::new()), baseline, "cache (cold) diverged");
+        let cached = ReplayMode {
+            trace_cache: Some(Arc::new(TraceCache::new(&dir))),
+            telemetry: None,
+        };
+        assert_eq!(
+            collect(&cached, &WorkloadCache::new()),
+            baseline,
+            "cache (cold) diverged"
+        );
+        assert_eq!(
+            interpretations.get(),
+            2,
+            "a cold cache interprets each kernel once"
+        );
         // Warm cache: every cell must be served from disk — zero builds.
         let warm_cache = WorkloadCache::new();
-        assert_eq!(collect(&both, &warm_cache), baseline, "cache (warm, packed) diverged");
+        assert_eq!(collect(&cached, &warm_cache), baseline, "cache (warm) diverged");
         assert_eq!(
             warm_cache.built_count(),
             0,

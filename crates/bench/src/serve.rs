@@ -527,8 +527,8 @@ impl Server {
     /// Re-runs every completed cell serially on a **freshly built**
     /// workload (no shared cache — full independence from the fleet
     /// path) and records any bit-difference. The serial side replays the
-    /// lowered stream, so under `--packed`, and on every `--trace-cache`
-    /// hit, this is also a packed-vs-lowered identity gate per reply.
+    /// lowered stream, so on every `--trace-cache` hit this is also a
+    /// packed-vs-lowered identity gate per reply.
     fn selfcheck_batch(&mut self, completed: &[CellResult]) {
         for cell in completed {
             let Ok(got) = &cell.outcome else { continue };
@@ -1171,11 +1171,17 @@ mod tests {
 
     #[test]
     fn selfcheck_passes_on_identical_paths_and_metrics_export_roundtrips() {
+        let cache_dir =
+            std::env::temp_dir().join(format!("grp-serve-selfcheck-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
         let mut server = Server::new(ServerOpts {
             workers: 2,
             default_scale: SuiteScale::Test,
             cfg: SimConfig::paper(),
-            mode: ReplayMode { packed: true, trace_cache: None, telemetry: None },
+            mode: ReplayMode {
+                trace_cache: Some(Arc::new(crate::tracecache::TraceCache::new(&cache_dir))),
+                telemetry: None,
+            },
             selfcheck: true,
             registry: Arc::new(Registry::new()),
             request_deadline: None,
@@ -1185,10 +1191,24 @@ mod tests {
             r#"{"kernel":"gzip","scheme":"SRP"}"#, "\n",
             r#"{"kernel":"mcf","scheme":"none"}"#, "\n",
         );
-        let replies = run_session(&mut server, input);
-        assert_eq!(replies.len(), 2);
-        assert!(replies.iter().all(|r| r.get("ok").and_then(|v| v.as_bool()) == Some(true)));
-        assert_eq!(server.mismatches(), 0, "packed fleet path matches serial replay");
+        // Cold: both cells miss, interpret, and fill the cache. Warm:
+        // both are cache hits replaying the packed stream, and the
+        // per-reply selfcheck compares them against a fresh build.
+        for pass in ["cold", "warm"] {
+            let replies = run_session(&mut server, input);
+            assert_eq!(replies.len(), 2, "{pass}");
+            let ok = |r: &Json| r.get("ok").and_then(|v| v.as_bool()) == Some(true);
+            assert!(replies.iter().all(ok), "{pass}");
+            assert_eq!(
+                server.mismatches(),
+                0,
+                "{pass}: fleet path matches serial replay"
+            );
+        }
+        let totals = server.totals().expect("batches ran");
+        assert_eq!(totals.cells, 4);
+        assert_eq!(totals.interpretations, 2, "the warm batch interprets nothing");
+        let _ = std::fs::remove_dir_all(&cache_dir);
 
         let dir = std::env::temp_dir().join(format!("grp-serve-metrics-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1215,7 +1235,6 @@ mod tests {
             default_scale: SuiteScale::Test,
             cfg: SimConfig::paper(),
             mode: ReplayMode {
-                packed: false,
                 trace_cache: Some(cache.clone()),
                 telemetry: None,
             },

@@ -86,7 +86,7 @@ impl Suite {
         }
     }
 
-    /// Selects the replay tier and trace cache ([`ReplayMode`]) for
+    /// Selects the trace cache and telemetry ([`ReplayMode`]) for
     /// every subsequent [`Suite::run`] / precompute. Results are
     /// bit-identical across modes; only setup/replay cost shifts.
     pub fn with_replay(mut self, replay: ReplayMode) -> Self {
@@ -139,30 +139,21 @@ impl Suite {
             crate::telemetry::log::info("suite", &format!("running {name} / {scheme}…"));
         }
         let cfg = self.cfg;
-        let r = if self.replay.is_default() {
-            self.built(name).run(scheme, &cfg)
-        } else {
-            // The replay-mode path: a trace-cache hit skips the build,
-            // so the workload is only materialized inside the closure
-            // on a miss.
-            let scale = self.scale.workload_scale();
-            let mode = self.replay.clone();
-            let built = &mut self.built;
-            let (r, _events, _setup, _replay) =
-                sched::run_cell(name, scale, scheme, &cfg, &mode, || {
-                    let b = built
-                        .entry(name)
-                        .or_insert_with(|| {
-                            Arc::new(
-                                grp_workloads::by_name(name).expect("registered").build(scale),
-                            )
-                        })
-                        .clone();
-                    Ok(Arc::new(sched::KernelBase::interpret(name, b)))
-                })
-                .unwrap_or_else(|e| panic!("{e}"));
-            r
-        };
+        // A trace-cache hit skips the build, so the workload is only
+        // materialized inside the closure on a miss.
+        let scale = self.scale.workload_scale();
+        let built = &mut self.built;
+        let (r, _events, _setup, _replay) =
+            sched::run_cell(name, scale, scheme, &cfg, &self.replay, || {
+                let b = built
+                    .entry(name)
+                    .or_insert_with(|| {
+                        Arc::new(grp_workloads::by_name(name).expect("registered").build(scale))
+                    })
+                    .clone();
+                Ok(Arc::new(sched::KernelBase::interpret(name, b)))
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         self.results.insert((name, scheme), r.clone());
         r
     }
@@ -203,7 +194,7 @@ impl Suite {
         let verbose = self.verbose;
         let results = &mut self.results;
         let mut failures: Vec<String> = Vec::new();
-        let stats = sched::run_cells_mode(&cells, workers, &cache, &self.replay, |cell| {
+        let stats = sched::run_cells_ctl(&cells, workers, &cache, &self.replay, None, |cell| {
             if verbose {
                 crate::telemetry::log::log_kv(
                     crate::telemetry::log::Level::Info,
@@ -370,28 +361,29 @@ mod tests {
     #[test]
     fn replay_modes_match_the_default_suite_path() {
         let mut base = Suite::new(SuiteScale::Test);
-        let want = base.run("twolf", Scheme::GrpVar);
+        let want = base.built("twolf").run(Scheme::GrpVar, &SimConfig::paper());
+        assert_eq!(base.run("twolf", Scheme::GrpVar), want);
         let dir = std::env::temp_dir()
             .join(format!("grp-suite-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(crate::tracecache::TraceCache::new(&dir));
-        // Packed tier, cold cache, then a second suite hitting the warm
-        // cache — all bit-identical to the default path.
-        let packed = ReplayMode { packed: true, trace_cache: None, telemetry: None };
-        let both = ReplayMode { packed: true, trace_cache: Some(tc.clone()), telemetry: None };
-        let mut s = Suite::new(SuiteScale::Test).with_replay(packed);
-        assert_eq!(s.run("twolf", Scheme::GrpVar), want);
-        let mut cold = Suite::new(SuiteScale::Test).with_replay(both.clone());
+        // A cold cache, then a second suite hitting the warm cache —
+        // both bit-identical to the default path.
+        let cached = ReplayMode {
+            trace_cache: Some(tc),
+            telemetry: None,
+        };
+        let mut cold = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(cold.run("twolf", Scheme::GrpVar), want);
-        let mut warm = Suite::new(SuiteScale::Test).with_replay(both);
+        assert!(cold.built.contains_key("twolf"), "a cold cache builds on the miss");
+        let mut warm = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(warm.run("twolf", Scheme::GrpVar), want);
         assert!(
             !warm.built.contains_key("twolf"),
             "a warm trace cache must satisfy run() without building the workload"
         );
         // The cell scheduler honours the suite's mode too.
-        let mut cells = Suite::new(SuiteScale::Test)
-            .with_replay(ReplayMode { packed: true, trace_cache: Some(tc), telemetry: None });
+        let mut cells = Suite::new(SuiteScale::Test).with_replay(cached);
         cells
             .precompute_cells(&["twolf"], &[Scheme::GrpVar, Scheme::NoPrefetch], Some(2))
             .expect("clean grid");

@@ -44,7 +44,7 @@ fn run_grid(workers: usize) -> Snapshot {
     let reg = Arc::new(Registry::new());
     let mode = ReplayMode::default().with_telemetry(reg.clone());
     let cache = WorkloadCache::new();
-    sched::run_cells_mode(&jobs, workers, &cache, &mode, |_| {});
+    sched::run_cells_ctl(&jobs, workers, &cache, &mode, None, |_| {});
     reg.snapshot()
 }
 

@@ -293,7 +293,7 @@ impl Observer for InvariantObserver {
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use crate::sim::{engine_for, run_trace_observed, run_trace_with_engine_observed};
+    use crate::sim::{engine_for, replay};
     use grp_cpu::{HintSet, RefId, Trace};
     use grp_mem::{Addr, HeapRange, Memory};
 
@@ -327,7 +327,8 @@ mod tests {
         let trace = hinted_stream(20_000);
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let obs = InvariantObserver::new(&cfg).with_interval(256);
-            let (_, obs) = run_trace_observed(&trace, &mem, heap(), scheme, &cfg, obs);
+            let engine = engine_for(scheme, &cfg);
+            let (_, obs) = replay(trace.stream(), &mem, heap(), scheme, &cfg, engine, obs, None);
             assert!(
                 obs.ok(),
                 "{scheme:?} violates invariants: {:?}",
@@ -360,8 +361,7 @@ mod tests {
         let mut engine = engine_for(Scheme::Srp, &cfg);
         engine.inject_fault_unbounded_queue();
         let obs = InvariantObserver::new(&cfg).with_interval(64);
-        let (_, obs) =
-            run_trace_with_engine_observed(&t, &mem, heap(), Scheme::Srp, &cfg, engine, obs);
+        let (_, obs) = replay(t.stream(), &mem, heap(), Scheme::Srp, &cfg, engine, obs, None);
         assert!(!obs.ok(), "unbounded queue must be detected");
         assert!(
             obs.violations()

@@ -67,9 +67,6 @@ pub use oracle::{
     OracleSystem,
 };
 pub use result::{geomean, RunResult};
-pub use sim::{
-    engine_for, replay, run_trace, run_trace_faulted, run_trace_observed,
-    run_trace_observed_faulted, run_trace_with_engine, run_trace_with_engine_observed,
-};
+pub use sim::{engine_for, replay, run_trace};
 #[doc(hidden)]
 pub use sim::replay_injected;

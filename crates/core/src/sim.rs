@@ -46,7 +46,8 @@ fn region_cfg(cfg: &SimConfig, varsize: bool) -> RegionConfig {
     rc
 }
 
-/// Replays a hinted trace through the timing model.
+/// Replays a hinted trace through the timing model: [`replay`] with the
+/// scheme's own engine, no observer, and no fault plan.
 ///
 /// `mem` supplies the data values the pointer-scan and indirect engines
 /// read; `heap` bounds the pointer base-and-bounds test.
@@ -57,84 +58,24 @@ pub fn run_trace(
     scheme: Scheme,
     cfg: &SimConfig,
 ) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    run_trace_with_engine(trace, mem, heap, scheme, cfg, engine)
+    replay(
+        trace.stream(),
+        mem,
+        heap,
+        scheme,
+        cfg,
+        engine_for(scheme, cfg),
+        NullObserver,
+        None,
+    )
+    .0
 }
 
-/// Like [`run_trace`], with a caller-supplied engine (ablation studies).
-pub fn run_trace_with_engine(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-) -> RunResult {
-    run_trace_with_engine_observed(trace, mem, heap, scheme, cfg, engine, NullObserver).0
-}
-
-/// Like [`run_trace`], threading an [`Observer`] through the replay.
-///
-/// Returns the observer alongside the result so callers can pull the
-/// collected trace/metrics back out. With [`NullObserver`] this
-/// monomorphizes to exactly the unobserved replay loop.
-pub fn run_trace_observed<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    obs: O,
-) -> (RunResult, O) {
-    let engine = engine_for(scheme, cfg);
-    run_trace_with_engine_observed(trace, mem, heap, scheme, cfg, engine, obs)
-}
-
-/// Like [`run_trace`], replaying under a [`FaultPlan`]. An empty plan
-/// yields a bit-identical result to the unfaulted run.
-pub fn run_trace_faulted(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    replay(trace.stream(), mem, heap, scheme, cfg, engine, NullObserver, Some(plan)).0
-}
-
-/// Like [`run_trace_observed`], replaying under a [`FaultPlan`]. Every
-/// injected fault is reported through the observer's fault hooks.
-pub fn run_trace_observed_faulted<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    obs: O,
-    plan: &FaultPlan,
-) -> (RunResult, O) {
-    let engine = engine_for(scheme, cfg);
-    replay(trace.stream(), mem, heap, scheme, cfg, engine, obs, Some(plan))
-}
-
-/// The fully general replay: caller-supplied engine *and* observer.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trace_with_engine_observed<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-    obs: O,
-) -> (RunResult, O) {
-    replay(trace.stream(), mem, heap, scheme, cfg, engine, obs, None)
-}
-
-/// Like [`run_trace_with_engine_observed`], optionally armed with a
-/// [`FaultPlan`] — the superset entry point every wrapper above feeds.
+/// The replay entry point every caller feeds: a caller-supplied engine
+/// ([`engine_for`], or a custom one for ablations), an [`Observer`]
+/// ([`NullObserver`] monomorphizes to exactly the unobserved loop; the
+/// observer comes back alongside the result), and an optional
+/// [`FaultPlan`] (an empty plan is bit-identical to `None`).
 ///
 /// `events` is any [`EventStream`]: a recorded trace
 /// ([`Trace::stream`]), a base trace lowered through a scheme's hint
@@ -267,6 +208,18 @@ mod tests {
     use crate::faults::FaultKind;
     use grp_cpu::{HintSet, RefId};
     use grp_mem::Addr;
+
+    /// [`run_trace`] under a fault plan.
+    fn run_faulted(
+        trace: &Trace,
+        mem: &Memory,
+        scheme: Scheme,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+    ) -> RunResult {
+        let engine = engine_for(scheme, cfg);
+        replay(trace.stream(), mem, heap(), scheme, cfg, engine, NullObserver, Some(plan)).0
+    }
 
     fn heap() -> HeapRange {
         HeapRange {
@@ -509,7 +462,7 @@ mod tests {
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let plain = run_trace(&trace, &mem, heap(), scheme, &cfg);
             let faulted =
-                run_trace_faulted(&trace, &mem, heap(), scheme, &cfg, &FaultPlan::none());
+                run_faulted(&trace, &mem, scheme, &cfg, &FaultPlan::none());
             assert_eq!(plain, faulted, "{scheme:?}: empty plan must be inert");
         }
     }
@@ -521,7 +474,7 @@ mod tests {
         let trace = stream_trace(10_000, 4, HintSet::none().with_spatial());
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
         for (name, plan) in FaultPlan::builtin() {
-            let faulted = run_trace_faulted(&trace, &mem, heap(), Scheme::Srp, &cfg, &plan);
+            let faulted = run_faulted(&trace, &mem, Scheme::Srp, &cfg, &plan);
             // Demand correctness: the same loads retire, stats stay sane.
             assert_eq!(faulted.instructions, srp.instructions, "{name}");
             // Faults only remove capacity/timeliness, so a faulted
@@ -536,7 +489,7 @@ mod tests {
             // prefetch MSHR inherits the delayed fill time (the block
             // is held hostage), so those plans get a wider bound.
             let faulted_base =
-                run_trace_faulted(&trace, &mem, heap(), Scheme::NoPrefetch, &cfg, &plan);
+                run_faulted(&trace, &mem, Scheme::NoPrefetch, &cfg, &plan);
             let delays_fills = plan
                 .events
                 .iter()
@@ -561,7 +514,7 @@ mod tests {
             .find(|(n, _)| *n == "dropped-fills")
             .unwrap();
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
-        let dropped = run_trace_faulted(&trace, &mem, heap(), Scheme::Srp, &cfg, &plan);
+        let dropped = run_faulted(&trace, &mem, Scheme::Srp, &cfg, &plan);
         // Every prefetch loses its data, so the stream's misses come
         // back; the run degrades toward (and lands near) no-prefetch.
         assert!(

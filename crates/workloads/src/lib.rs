@@ -32,7 +32,7 @@ pub mod kernels;
 
 use grp_compiler::{analyze, AnalysisConfig};
 use grp_core::{engine_for, replay, NullObserver, Observer, RunResult, Scheme, SimConfig};
-use grp_cpu::{BaseTrace, HintOverlay, PackedTrace, Trace};
+use grp_cpu::{BaseTrace, HintOverlay, Trace};
 use grp_ir::interp::Interpreter;
 use grp_ir::{Bindings, HintMap, LoopId, Program};
 use grp_mem::{HeapRange, Memory};
@@ -206,33 +206,6 @@ impl BuiltWorkload {
     /// the timing simulation.
     pub fn run(&self, scheme: Scheme, cfg: &SimConfig) -> RunResult {
         self.replay(&self.interpret(), scheme, cfg, NullObserver).0
-    }
-
-    /// Like [`BuiltWorkload::run`] on the packed tier: the lowered trace
-    /// is packed to the struct-of-arrays form and replayed in place
-    /// through [`PackedTrace::stream`]. Bit-identical to
-    /// [`BuiltWorkload::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel fails to interpret or its trace cannot be
-    /// packed (both are workload bugs).
-    pub fn run_packed(&self, scheme: Scheme, cfg: &SimConfig) -> RunResult {
-        let base = self.interpret();
-        let pt = PackedTrace::pack_stream(base.trace.lower(&self.scheme_overlay(scheme)))
-            .unwrap_or_else(|e| panic!("workload {} trace: {e}", self.program.name));
-        let engine = engine_for(scheme, cfg);
-        replay(
-            pt.stream(),
-            &base.memory,
-            self.heap,
-            scheme,
-            cfg,
-            engine,
-            NullObserver,
-            None,
-        )
-        .0
     }
 
     /// Like [`BuiltWorkload::run`], threading an observer through the

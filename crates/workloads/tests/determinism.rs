@@ -9,8 +9,8 @@
 //! simulator statistics.
 
 use grp_core::{
-    run_trace, run_trace_faulted, run_trace_observed, run_trace_observed_faulted, FaultPlan,
-    LifecycleTracer, RunResult, Scheme, SimConfig,
+    engine_for, replay, run_trace, FaultPlan, LifecycleTracer, NullObserver, RunResult, Scheme,
+    SimConfig,
 };
 use grp_workloads::{all, Scale};
 
@@ -139,26 +139,26 @@ fn zero_fault_plan_is_bit_identical_to_unfaulted_run() {
         let w = grp_workloads::by_name(name).expect("registered");
         let built = w.build(Scale::Test);
         let (trace, mem) = built.trace(Scheme::GrpVar.compiler_config().as_ref());
+        let engine = || engine_for(Scheme::GrpVar, &cfg);
         let plain = run_trace(&trace, &mem, built.heap, Scheme::GrpVar, &cfg);
-        let idle = run_trace_faulted(&trace, &mem, built.heap, Scheme::GrpVar, &cfg, &none);
+        let (idle, _) = replay(
+            trace.stream(),
+            &mem,
+            built.heap,
+            Scheme::GrpVar,
+            &cfg,
+            engine(),
+            NullObserver,
+            Some(&none),
+        );
         assert_eq!(plain, idle, "workload '{name}': empty fault plan perturbed the run");
-        let (_, ta) = run_trace_observed(
-            &trace,
-            &mem,
-            built.heap,
-            Scheme::GrpVar,
-            &cfg,
-            LifecycleTracer::new(),
-        );
-        let (_, tb) = run_trace_observed_faulted(
-            &trace,
-            &mem,
-            built.heap,
-            Scheme::GrpVar,
-            &cfg,
-            LifecycleTracer::new(),
-            &none,
-        );
+        let traced = |plan: Option<&FaultPlan>| {
+            let tracer = LifecycleTracer::new();
+            let (_, t) =
+                replay(trace.stream(), &mem, built.heap, Scheme::GrpVar, &cfg, engine(), tracer, plan);
+            t
+        };
+        let (ta, tb) = (traced(None), traced(Some(&none)));
         assert_eq!(
             ta.jsonl(),
             tb.jsonl(),
@@ -187,14 +187,15 @@ fn same_seed_faulted_runs_are_bit_identical_across_builds() {
         let run = || {
             let built = w.build(Scale::Test);
             let (trace, mem) = built.trace(Scheme::GrpVar.compiler_config().as_ref());
-            run_trace_observed_faulted(
-                &trace,
+            replay(
+                trace.stream(),
                 &mem,
                 built.heap,
                 Scheme::GrpVar,
                 &cfg,
+                engine_for(Scheme::GrpVar, &cfg),
                 LifecycleTracer::new(),
-                plan,
+                Some(plan),
             )
         };
         let (ra, ta) = run();
